@@ -287,6 +287,50 @@ BENCHMARK_CAPTURE(conv3x3_algo_bench, int8, ds::ConvAlgo::kInt8)
 BENCHMARK_CAPTURE(conv3x3_algo_bench, auto_pick, ds::ConvAlgo::kAuto)
     ->Arg(32)->Arg(64);
 
+// ---------------------------- Non-GEMM layers --------------------------------
+
+// LRN forward + backward at the alexnet_s conv1 output (batch 16 × 16 ch ×
+// 32×32): before the memoised powf it cost more than every conv together.
+void BM_LrnForwardBackward(benchmark::State& state) {
+  ds::Rng rng(4);
+  ds::Tensor x({16, 16, 32, 32}), dy({16, 16, 32, 32});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(0, 2));  // post-ReLU activations
+    dy[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  ds::LocalResponseNorm lrn;
+  ds::Tensor y, dx;
+  for (auto _ : state) {
+    lrn.forward(x, y, true);
+    lrn.backward(x, y, dy, dx);
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_LrnForwardBackward);
+
+// Max-pool forward: args are (channels, plane, kernel, stride, pad). k2s2 at
+// the alexnet_s conv1 output, and inception's k3s1p1 pool branch.
+void BM_MaxPoolForward(benchmark::State& state) {
+  const auto c = static_cast<std::size_t>(state.range(0));
+  const auto hw = static_cast<std::size_t>(state.range(1));
+  ds::Rng rng(5);
+  ds::Tensor x({16, c, hw, hw});
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  ds::MaxPool2D pool(static_cast<std::size_t>(state.range(2)),
+                     static_cast<std::size_t>(state.range(3)),
+                     static_cast<std::size_t>(state.range(4)));
+  ds::Tensor y;
+  for (auto _ : state) {
+    pool.forward(x, y, true);
+    benchmark::DoNotOptimize(y.data());
+  }
+}
+BENCHMARK(BM_MaxPoolForward)
+    ->Args({16, 32, 2, 2, 0})
+    ->Args({16, 16, 3, 1, 1});
+
 // ------------------------------- Update rules --------------------------------
 
 void BM_EasgdWorkerStep(benchmark::State& state) {

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "comm/quantize.hpp"
@@ -175,7 +176,7 @@ class MaxPool2D final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t pad_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  std::vector<std::uint32_t> argmax_;  // in-plane input index per output
   Shape in_cache_, out_cache_;  // memoized output_shape of the last input
 };
 
@@ -211,11 +212,20 @@ class LocalResponseNorm final : public Layer {
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  // One slot of the powf memo: `value` is always powf(bit_cast(key), −β).
+  struct PowSlot {
+    std::uint32_t key;
+    float value;
+  };
+  static constexpr std::size_t kPowMemoSlots = std::size_t{1} << 13;  // 64 KiB
+
   std::size_t size_;
   double alpha_;
   double beta_;
   double k_;
-  std::vector<float> scale_;  // (k + α/n Σ x²) per element, from forward
+  std::vector<float> scale_;  // s^{−β} per element, from forward
+  std::vector<float> work_;   // backward scratch: one sample's s, then dy·y/s
+  std::vector<PowSlot> memo_;  // direct-mapped on the low bits of s
 };
 
 /// Dense layer: y = x·Wᵀ + b. Parameters are [out × in] weights then [out]

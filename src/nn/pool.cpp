@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -14,6 +16,82 @@ Shape pooled_shape(const Shape& input, std::size_t kernel, std::size_t stride,
   const std::size_t ho = (input.dim(2) - kernel) / stride + 1;
   const std::size_t wo = (input.dim(3) - kernel) / stride + 1;
   return Shape{input.dim(0), input.dim(1), ho, wo};
+}
+
+struct PoolGeom {
+  long h, w, k, s, pad;
+};
+
+// Max-pool windows keep the first strictly greater tap in (kh, kw) order,
+// starting from the window's first in-bounds tap, so a window that never
+// beats -inf (all -inf, or all NaN) still routes its gradient inside itself.
+// Branch-free so ties and NaNs cost no mispredicts.
+inline void take(float v, std::uint32_t idx, float& best, std::uint32_t& at) {
+  const bool gt = v > best;
+  best = gt ? v : best;
+  at = gt ? idx : at;
+}
+
+// One window, taps clamped to the plane (any geometry, borders included).
+void max_clamped_window(const float* xp, const PoolGeom& g, long ih0, long ow,
+                        float* yr, std::uint32_t* ar) {
+  const long iw0 = ow * g.s - g.pad;
+  const long kh0 = std::max(0L, -ih0), kh1 = std::min(g.k, g.h - ih0);
+  const long kw0 = std::max(0L, -iw0), kw1 = std::min(g.k, g.w - iw0);
+  float best = -std::numeric_limits<float>::infinity();
+  auto at = static_cast<std::uint32_t>((ih0 + kh0) * g.w + iw0 + kw0);
+  for (long kh = kh0; kh < kh1; ++kh) {
+    for (long kw = kw0; kw < kw1; ++kw) {
+      const long idx = (ih0 + kh) * g.w + iw0 + kw;
+      take(xp[idx], static_cast<std::uint32_t>(idx), best, at);
+    }
+  }
+  yr[ow] = best;
+  ar[ow] = at;
+}
+
+// k2 s2 windows [ow_lo, ow_hi) of an output row whose taps all lie inside
+// the plane: the taps unroll, so the column loop vectorises.
+void max_k2s2_windows(const float* xp, const PoolGeom& g, long ih0,
+                      long ow_lo, long ow_hi, float* __restrict yr,
+                      std::uint32_t* __restrict ar) {
+  constexpr long K = 2, S = 2;
+  for (long ow = ow_lo; ow < ow_hi; ++ow) {
+    const long iw0 = ow * S - g.pad;
+    float best = -std::numeric_limits<float>::infinity();
+    auto at = static_cast<std::uint32_t>(ih0 * g.w + iw0);
+    for (long kh = 0; kh < K; ++kh) {
+      for (long kw = 0; kw < K; ++kw) {
+        const long idx = (ih0 + kh) * g.w + iw0 + kw;
+        take(xp[idx], static_cast<std::uint32_t>(idx), best, at);
+      }
+    }
+    yr[ow] = best;
+    ar[ow] = at;
+  }
+}
+
+// k3 s1 p1 keeps the plane's shape, so output o's taps read input
+// o + (kh−1)·w + (kw−1): the full rows [1, h−1) run as one flat vector loop
+// over the plane. Their first and last columns wrap into the neighbouring
+// rows (reads stay inside the plane); the caller redoes those windows
+// clamped.
+void max_k3s1p1_rows(const float* xp, const PoolGeom& g, float* __restrict yp,
+                     std::uint32_t* __restrict ap) {
+  constexpr long K = 3, P = 1;
+  const long hi = (g.h - P) * g.w - P;
+  for (long o = P * g.w + P; o < hi; ++o) {
+    float best = -std::numeric_limits<float>::infinity();
+    auto at = static_cast<std::uint32_t>(o - P * g.w - P);
+    for (long kh = 0; kh < K; ++kh) {
+      for (long kw = 0; kw < K; ++kw) {
+        const long idx = o + (kh - P) * g.w + kw - P;
+        take(xp[idx], static_cast<std::uint32_t>(idx), best, at);
+      }
+    }
+    yp[o] = best;
+    ap[o] = at;
+  }
 }
 
 }  // namespace
@@ -48,52 +126,66 @@ void MaxPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   if (x.shape() != in_cache_) {
     in_cache_ = x.shape();
     out_cache_ = output_shape(in_cache_);
+    DS_CHECK(x.dim(2) * x.dim(3) <= UINT32_MAX,
+             "maxpool plane " << in_cache_.str() << " too large");
   }
   const Shape& out = out_cache_;
   if (y.shape() != out) y = Tensor(out);
   argmax_.resize(out.numel());  // grow-only capacity, no realloc once warm
   const std::size_t planes = x.dim(0) * x.dim(1);
-  const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t ho = out.dim(2), wo = out.dim(3);
+  const PoolGeom g{static_cast<long>(x.dim(2)), static_cast<long>(x.dim(3)),
+                   static_cast<long>(kernel_), static_cast<long>(stride_),
+                   static_cast<long>(pad_)};
+  const long ho = static_cast<long>(out.dim(2));
+  const long wo = static_cast<long>(out.dim(3));
+  // Columns [ow_lo, ow_hi) have every kw tap inside the row.
+  const long ow_lo = std::min((g.pad + g.s - 1) / g.s, wo);
+  const long ow_hi = std::clamp(
+      g.w + g.pad - g.k >= 0 ? (g.w + g.pad - g.k) / g.s + 1 : 0, ow_lo, wo);
+  // Vectorised interiors for the zoo's two pool shapes, k2 s2 and k3 s1 p1;
+  // every other geometry, and every border window, runs clamped.
+  const bool k2s2 = g.k == 2 && g.s == 2;
+  const bool k3s1p1 = g.k == 3 && g.s == 1 && g.pad == 1;
+
   for (std::size_t p = 0; p < planes; ++p) {
-    const float* xp = x.data() + p * h * w;
-    float* yp = y.data() + p * ho * wo;
-    std::size_t* ap = argmax_.data() + p * ho * wo;
-    for (std::size_t oh = 0; oh < ho; ++oh) {
-      for (std::size_t ow = 0; ow < wo; ++ow) {
-        float best = -std::numeric_limits<float>::infinity();
-        std::size_t best_idx = 0;
-        for (std::size_t kh = 0; kh < kernel_; ++kh) {
-          const long ih = static_cast<long>(oh * stride_ + kh) -
-                          static_cast<long>(pad_);
-          if (ih < 0 || ih >= static_cast<long>(h)) continue;
-          for (std::size_t kw = 0; kw < kernel_; ++kw) {
-            const long iw = static_cast<long>(ow * stride_ + kw) -
-                            static_cast<long>(pad_);
-            if (iw < 0 || iw >= static_cast<long>(w)) continue;
-            const std::size_t idx =
-                static_cast<std::size_t>(ih) * w + static_cast<std::size_t>(iw);
-            if (xp[idx] > best) {
-              best = xp[idx];
-              best_idx = idx;
-            }
-          }
-        }
-        yp[oh * wo + ow] = best;
-        ap[oh * wo + ow] = p * h * w + best_idx;
+    const float* xp = x.data() + p * x.dim(2) * x.dim(3);
+    float* yp = y.data() + p * out.dim(2) * out.dim(3);
+    std::uint32_t* ap = argmax_.data() + p * out.dim(2) * out.dim(3);
+    if (k3s1p1) max_k3s1p1_rows(xp, g, yp, ap);
+    for (long oh = 0; oh < ho; ++oh) {
+      const long ih0 = oh * g.s - g.pad;
+      float* yr = yp + oh * wo;
+      std::uint32_t* ar = ap + oh * wo;
+      long ow = 0;
+      if ((k2s2 || k3s1p1) && ih0 >= 0 && ih0 + g.k <= g.h) {
+        for (; ow < ow_lo; ++ow) max_clamped_window(xp, g, ih0, ow, yr, ar);
+        if (k2s2) max_k2s2_windows(xp, g, ih0, ow_lo, ow_hi, yr, ar);
+        ow = ow_hi;
       }
+      for (; ow < wo; ++ow) max_clamped_window(xp, g, ih0, ow, yr, ar);
     }
   }
 }
 
 void MaxPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                          Tensor& dx) {
+  DS_CHECK(argmax_.size() == y.numel() && x.shape() == in_cache_,
+           "maxpool backward before forward");
+  DS_CHECK(y.shape() == out_cache_ && dy.shape() == out_cache_,
+           "maxpool backward: y " << y.shape().str() << " and dy "
+                                  << dy.shape().str() << " must be "
+                                  << out_cache_.str());
   if (dx.shape() != x.shape()) dx = Tensor(x.shape());
   dx.zero();
-  DS_CHECK(argmax_.size() == y.numel(), "maxpool backward before forward");
-  const float* g = dy.data();
-  float* out = dx.data();
-  for (std::size_t i = 0; i < argmax_.size(); ++i) out[argmax_[i]] += g[i];
+  const std::size_t planes = x.dim(0) * x.dim(1);
+  const std::size_t plane_in = x.dim(2) * x.dim(3);
+  const std::size_t plane_out = y.dim(2) * y.dim(3);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* g = dy.data() + p * plane_out;
+    const std::uint32_t* a = argmax_.data() + p * plane_out;
+    float* out = dx.data() + p * plane_in;
+    for (std::size_t i = 0; i < plane_out; ++i) out[a[i]] += g[i];
+  }
 }
 
 double MaxPool2D::flops_per_sample(const Shape& input) const {
@@ -152,6 +244,14 @@ void AvgPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 
 void AvgPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                          Tensor& dx) {
+  if (x.shape() != in_cache_) {
+    in_cache_ = x.shape();
+    out_cache_ = output_shape(in_cache_);
+  }
+  DS_CHECK(y.shape() == out_cache_ && dy.shape() == out_cache_,
+           "avgpool backward: y " << y.shape().str() << " and dy "
+                                  << dy.shape().str() << " must be "
+                                  << out_cache_.str());
   if (dx.shape() != x.shape()) dx = Tensor(x.shape());
   dx.zero();
   const std::size_t planes = x.dim(0) * x.dim(1);

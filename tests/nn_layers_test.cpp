@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 #include "nn/layers.hpp"
 #include "test_util.hpp"
 
@@ -270,6 +275,44 @@ TEST(MaxPoolLayer, PaddedOutputShapePreserved) {
   EXPECT_EQ(pool.output_shape(Shape{1, 4, 8, 8}), Shape({1, 4, 8, 8}));
 }
 
+// A window that never beats -inf (all -inf, or all NaN) must still route its
+// gradient to one of its own taps — the first in-bounds one — never to the
+// plane's (0,0).
+TEST(MaxPoolLayer, DegenerateWindowsRouteInsideWindow) {
+  for (const float fill : {-std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()}) {
+    MaxPool2D pool(2, 2);
+    Tensor x({1, 1, 4, 4});
+    x.fill(fill);
+    Tensor y, dx;
+    pool.forward(x, y, true);
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      EXPECT_EQ(y[i], -std::numeric_limits<float>::infinity());
+    }
+    Tensor dy({1, 1, 2, 2});
+    dy.fill(1.0f);
+    pool.backward(x, y, dy, dx);
+    for (std::size_t ih = 0; ih < 4; ++ih) {
+      for (std::size_t iw = 0; iw < 4; ++iw) {
+        const float want = (ih % 2 == 0 && iw % 2 == 0) ? 1.0f : 0.0f;
+        EXPECT_EQ(dx[ih * 4 + iw], want) << "fill " << fill << " at (" << ih
+                                         << "," << iw << ")";
+      }
+    }
+  }
+}
+
+TEST(MaxPoolLayer, BackwardRejectsMismatchedGradient) {
+  MaxPool2D pool(2, 2);
+  Tensor x({2, 3, 4, 4}), y, dx;
+  pool.forward(x, y, true);
+  Tensor short_dy({2, 3, 1, 2});
+  EXPECT_THROW(pool.backward(x, y, short_dy, dx), Error);
+  Tensor other_x({2, 3, 6, 6});
+  Tensor dy(y.shape());
+  EXPECT_THROW(pool.backward(other_x, y, dy, dx), Error);
+}
+
 TEST(AvgPoolLayer, AveragesWindow) {
   AvgPool2D pool(2, 2);
   Tensor x({1, 1, 2, 2});
@@ -289,6 +332,17 @@ TEST(AvgPoolLayer, GlobalPoolGradCheck) {
   AvgPool2D pool(4, 4);
   const auto r = grad_check_layer(pool, Shape{1, 2, 4, 4});
   EXPECT_LT(r.max_rel_error, kTol);
+}
+
+TEST(AvgPoolLayer, BackwardRejectsMismatchedGradient) {
+  AvgPool2D pool(2, 2);
+  Tensor x({2, 3, 4, 4}), y, dx;
+  pool.forward(x, y, true);
+  Tensor short_dy({2, 3, 1, 2});
+  EXPECT_THROW(pool.backward(x, y, short_dy, dx), Error);
+  Tensor dy(y.shape());
+  Tensor wrong_y({2, 3, 1, 1});
+  EXPECT_THROW(pool.backward(x, wrong_y, dy, dx), Error);
 }
 
 // ------------------------------- Dense --------------------------------------
@@ -448,6 +502,275 @@ TEST(LrnLayer, GradCheckWideWindow) {
 
 TEST(LrnLayer, RejectsEvenWindow) {
   EXPECT_THROW(LocalResponseNorm(4), Error);
+}
+
+TEST(LrnLayer, BackwardRejectsMismatchedGradient) {
+  LocalResponseNorm lrn;
+  Tensor x({2, 6, 3, 3}), y, dx;
+  lrn.forward(x, y, true);
+  Tensor short_dy({2, 6, 3, 2});
+  EXPECT_THROW(lrn.backward(x, y, short_dy, dx), Error);
+  Tensor dy(x.shape());
+  Tensor short_y({1, 6, 3, 3});
+  EXPECT_THROW(lrn.backward(x, short_y, dy, dx), Error);
+}
+
+// ----------------------- Bitwise reference battery -------------------------
+//
+// The LRN and max-pool kernels are vectorised rewrites whose contract is to
+// be bit-identical to the straightforward per-element loops below (the
+// max-pool reference carries the degenerate-window fix: its index starts at
+// the window's first in-bounds tap). Both sides are compiled with the same
+// flags, so any change in summation order or FMA contraction shows up here.
+
+void ref_lrn_forward(const Tensor& x, Tensor& y, std::vector<float>& scale,
+                     std::size_t size, double alpha, double beta, double k) {
+  y = Tensor(x.shape());
+  const std::size_t batch = x.dim(0), channels = x.dim(1);
+  const std::size_t hw = x.dim(2) * x.dim(3);
+  scale.resize(x.numel());
+  const long half = static_cast<long>(size / 2);
+  const float coeff = static_cast<float>(alpha / static_cast<double>(size));
+
+  for (std::size_t n = 0; n < batch; ++n) {
+    const float* xn = x.data() + n * channels * hw;
+    float* yn = y.data() + n * channels * hw;
+    float* sn = scale.data() + n * channels * hw;
+    for (std::size_t c = 0; c < channels; ++c) {
+      const long lo = std::max<long>(0, static_cast<long>(c) - half);
+      const long hi = std::min<long>(static_cast<long>(channels) - 1,
+                                     static_cast<long>(c) + half);
+      for (std::size_t i = 0; i < hw; ++i) {
+        float sumsq = 0.0f;
+        for (long cc = lo; cc <= hi; ++cc) {
+          const float v = xn[static_cast<std::size_t>(cc) * hw + i];
+          sumsq += v * v;
+        }
+        const float s = static_cast<float>(k) + coeff * sumsq;
+        sn[c * hw + i] = s;
+        yn[c * hw + i] =
+            xn[c * hw + i] * std::pow(s, static_cast<float>(-beta));
+      }
+    }
+  }
+}
+
+void ref_lrn_backward(const Tensor& x, const Tensor& y, const Tensor& dy,
+                      Tensor& dx, const std::vector<float>& scale,
+                      std::size_t size, double alpha, double beta) {
+  dx = Tensor(x.shape());
+  const std::size_t batch = x.dim(0), channels = x.dim(1);
+  const std::size_t hw = x.dim(2) * x.dim(3);
+  const long half = static_cast<long>(size / 2);
+  const float coeff = static_cast<float>(alpha / static_cast<double>(size));
+  const float b = static_cast<float>(beta);
+
+  for (std::size_t n = 0; n < batch; ++n) {
+    const std::size_t base = n * channels * hw;
+    const float* xn = x.data() + base;
+    const float* yn = y.data() + base;
+    const float* gn = dy.data() + base;
+    const float* sn = scale.data() + base;
+    float* on = dx.data() + base;
+    for (std::size_t c = 0; c < channels; ++c) {
+      const long lo = std::max<long>(0, static_cast<long>(c) - half);
+      const long hi = std::min<long>(static_cast<long>(channels) - 1,
+                                     static_cast<long>(c) + half);
+      for (std::size_t i = 0; i < hw; ++i) {
+        const std::size_t idx = c * hw + i;
+        float cross = 0.0f;
+        for (long cc = lo; cc <= hi; ++cc) {
+          const std::size_t j = static_cast<std::size_t>(cc) * hw + i;
+          cross += gn[j] * yn[j] / sn[j];
+        }
+        on[idx] = gn[idx] * std::pow(sn[idx], -b) -
+                  2.0f * coeff * b * xn[idx] * cross;
+      }
+    }
+  }
+}
+
+void ref_maxpool_forward(const Tensor& x, Tensor& y,
+                         std::vector<std::size_t>& argmax, std::size_t kernel,
+                         std::size_t stride, std::size_t pad) {
+  const std::size_t h = x.dim(2), w = x.dim(3);
+  const std::size_t ho = (h + 2 * pad - kernel) / stride + 1;
+  const std::size_t wo = (w + 2 * pad - kernel) / stride + 1;
+  y = Tensor({x.dim(0), x.dim(1), ho, wo});
+  argmax.resize(y.numel());
+  const std::size_t planes = x.dim(0) * x.dim(1);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* xp = x.data() + p * h * w;
+    float* yp = y.data() + p * ho * wo;
+    std::size_t* ap = argmax.data() + p * ho * wo;
+    for (std::size_t oh = 0; oh < ho; ++oh) {
+      for (std::size_t ow = 0; ow < wo; ++ow) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx =
+            static_cast<std::size_t>(std::max<long>(
+                0, static_cast<long>(oh * stride) - static_cast<long>(pad))) *
+                w +
+            static_cast<std::size_t>(std::max<long>(
+                0, static_cast<long>(ow * stride) - static_cast<long>(pad)));
+        for (std::size_t kh = 0; kh < kernel; ++kh) {
+          const long ih = static_cast<long>(oh * stride + kh) -
+                          static_cast<long>(pad);
+          if (ih < 0 || ih >= static_cast<long>(h)) continue;
+          for (std::size_t kw = 0; kw < kernel; ++kw) {
+            const long iw = static_cast<long>(ow * stride + kw) -
+                            static_cast<long>(pad);
+            if (iw < 0 || iw >= static_cast<long>(w)) continue;
+            const std::size_t idx =
+                static_cast<std::size_t>(ih) * w + static_cast<std::size_t>(iw);
+            if (xp[idx] > best) {
+              best = xp[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        yp[oh * wo + ow] = best;
+        ap[oh * wo + ow] = p * h * w + best_idx;
+      }
+    }
+  }
+}
+
+void ref_maxpool_backward(const Tensor& x, const Tensor& dy,
+                          const std::vector<std::size_t>& argmax, Tensor& dx) {
+  dx = Tensor(x.shape());
+  for (std::size_t i = 0; i < argmax.size(); ++i) dx[argmax[i]] += dy[i];
+}
+
+::testing::AssertionResult bitwise_equal(const Tensor& got,
+                                         const Tensor& want) {
+  if (got.shape() != want.shape()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.shape().str() << " vs " << want.shape().str();
+  }
+  if (std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)) ==
+      0) {
+    return ::testing::AssertionSuccess();
+  }
+  for (std::size_t i = 0; i < got.numel(); ++i) {
+    if (std::memcmp(got.data() + i, want.data() + i, sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "first difference at " << i << ": " << got[i] << " vs "
+             << want[i];
+    }
+  }
+  return ::testing::AssertionFailure() << "memcmp mismatch";
+}
+
+TEST(LrnBitwise, MatchesReferenceOverShapeBattery) {
+  Rng rng(2024);
+  int case_id = 0;
+  for (const std::size_t size : {1u, 3u, 5u, 7u}) {
+    for (const std::size_t channels : {1u, 4u, 9u}) {  // includes c < size
+      for (const std::size_t batch : {1u, 16u}) {
+        for (const double beta : {0.5, 0.75, 1.0}) {
+          // Alternate AlexNet's α/k with a large α so s spans many values.
+          const bool big = (case_id++ % 2) == 1;
+          const double alpha = big ? 0.5 : 1e-4;
+          const double k = big ? 1.0 : 2.0;
+          Tensor x({batch, channels, 5, 7}), dy({batch, channels, 5, 7});
+          fill_random(x, rng, 2.0);
+          fill_random(dy, rng, 1.0);
+          SCOPED_TRACE(::testing::Message()
+                       << "size " << size << " channels " << channels
+                       << " batch " << batch << " beta " << beta
+                       << " alpha " << alpha);
+          Tensor want_y, want_dx;
+          std::vector<float> scale;
+          ref_lrn_forward(x, want_y, scale, size, alpha, beta, k);
+          ref_lrn_backward(x, want_y, dy, want_dx, scale, size, alpha, beta);
+
+          LocalResponseNorm lrn(size, alpha, beta, k);
+          Tensor y, dx;
+          lrn.forward(x, y, true);
+          lrn.backward(x, y, dy, dx);
+          EXPECT_TRUE(bitwise_equal(y, want_y));
+          EXPECT_TRUE(bitwise_equal(dx, want_dx));
+        }
+      }
+    }
+  }
+}
+
+// The powf memo keeps state across calls; that state must never show in
+// the output. A layer warmed on one tensor and a fresh layer agree bit for
+// bit on the next.
+TEST(LrnBitwise, MemoStateNeverChangesOutput) {
+  Rng rng(77);
+  Tensor a({16, 16, 8, 8}), b({16, 16, 8, 8}), dy({16, 16, 8, 8});
+  fill_random(a, rng, 3.0);
+  fill_random(b, rng, 3.0);
+  fill_random(dy, rng, 1.0);
+  LocalResponseNorm warm(5, 1e-2, 0.75, 2.0);
+  Tensor y, dx;
+  warm.forward(a, y, true);
+  warm.backward(a, y, dy, dx);
+  warm.forward(b, y, true);
+  warm.backward(b, y, dy, dx);
+
+  LocalResponseNorm fresh(5, 1e-2, 0.75, 2.0);
+  Tensor fresh_y, fresh_dx;
+  fresh.forward(b, fresh_y, true);
+  fresh.backward(b, fresh_y, dy, fresh_dx);
+  EXPECT_TRUE(bitwise_equal(y, fresh_y));
+  EXPECT_TRUE(bitwise_equal(dx, fresh_dx));
+}
+
+struct PoolCase {
+  std::size_t kernel, stride, pad, h, w;
+};
+
+TEST(MaxPoolBitwise, MatchesReferenceOverShapeBattery) {
+  const PoolCase cases[] = {
+      {2, 2, 0, 8, 8},   {2, 2, 0, 7, 9},   {2, 2, 0, 32, 32},
+      {3, 1, 1, 5, 7},   {3, 1, 1, 16, 16}, {3, 2, 1, 7, 7},
+      {3, 2, 1, 8, 9},   {2, 3, 0, 8, 8},   {2, 3, 1, 7, 8},
+      {1, 2, 0, 5, 5},   {3, 1, 1, 1, 1},   {3, 3, 2, 4, 6},
+      {2, 2, 1, 7, 7},   {3, 1, 1, 8, 8},   {3, 1, 1, 2, 9},
+      {3, 1, 1, 9, 2},   {3, 1, 1, 6, 1},   {3, 1, 0, 6, 7},
+  };
+  const float ninf = -std::numeric_limits<float>::infinity();
+  Rng rng(99);
+  for (const PoolCase& pc : cases) {
+    // Inputs: continuous values, heavy ties (three levels), and a mix with
+    // -inf taps and NaNs (so some windows never beat -inf).
+    for (int kind = 0; kind < 3; ++kind) {
+      SCOPED_TRACE(::testing::Message()
+                   << "k" << pc.kernel << " s" << pc.stride << " p" << pc.pad
+                   << " " << pc.h << "x" << pc.w << " input kind " << kind);
+      Tensor x({3, 2, pc.h, pc.w});
+      for (std::size_t i = 0; i < x.numel(); ++i) {
+        const double u = rng.uniform();
+        if (kind == 0) {
+          x[i] = static_cast<float>(rng.uniform(-1, 1));
+        } else if (kind == 1) {
+          x[i] = static_cast<float>(std::floor(u * 3.0));
+        } else {
+          x[i] = u < 0.6 ? ninf
+                 : u < 0.7 ? std::numeric_limits<float>::quiet_NaN()
+                           : static_cast<float>(u);
+        }
+      }
+      Tensor dy;
+      std::vector<std::size_t> argmax;
+      Tensor want_y, want_dx;
+      ref_maxpool_forward(x, want_y, argmax, pc.kernel, pc.stride, pc.pad);
+      dy = Tensor(want_y.shape());
+      fill_random(dy, rng, 1.0);
+      ref_maxpool_backward(x, dy, argmax, want_dx);
+
+      MaxPool2D pool(pc.kernel, pc.stride, pc.pad);
+      Tensor y, dx;
+      pool.forward(x, y, true);
+      pool.backward(x, y, dy, dx);
+      EXPECT_TRUE(bitwise_equal(y, want_y));
+      EXPECT_TRUE(bitwise_equal(dx, want_dx));
+    }
+  }
 }
 
 // ------------------------------ Inception -----------------------------------
