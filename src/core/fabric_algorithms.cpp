@@ -1,6 +1,6 @@
 #include "core/fabric_algorithms.hpp"
 
-#include <atomic>
+#include <functional>
 #include <span>
 #include <sstream>
 
@@ -21,16 +21,6 @@
 namespace ds {
 namespace {
 
-/// Ranks that crashed (scheduled fault) end in kFailed; ranks that caught a
-/// peer's failure and unwound cleanly end in kRetired like normal finishers.
-std::size_t count_failed(const Fabric& fabric) {
-  std::size_t failed = 0;
-  for (std::size_t r = 0; r < fabric.ranks(); ++r) {
-    if (fabric.state(r) == Fabric::RankState::kFailed) ++failed;
-  }
-  return failed;
-}
-
 /// Thread→virtual-clock binding for a fabric rank thread: lets span events
 /// recorded on this thread stamp themselves with the rank's fabric clock.
 struct RankClock {
@@ -42,46 +32,261 @@ struct RankClock {
   }
 };
 
-/// Fill RunResult's wire accounting from the fabric metric deltas over the
-/// run (runs are serial in-process, so the delta is exactly this fabric's).
-/// Narrate a parameter-buffer access for the protocol checker (proto.v1
-/// "acc" event). Buffer ids name PHYSICAL buffers — the center copy that
-/// lives on rank 0 and each rank's local replica — so a clean run's
-/// accesses are totally ordered per buffer and only genuinely racy
-/// schedules flag.
-void narrate_acc(const Fabric& fabric, std::size_t rank, double buffer,
-                 double kind) {
-  if (!obs::tracing_enabled()) return;
-  obs::proto::emit_acc(static_cast<std::int64_t>(rank), fabric.clock(rank),
-                       buffer, kind);
-}
+/// One rank thread's view of a fabric run: its clock, its measured share of
+/// the cost ledger, and its monitor and protocol-checker narration.
+class Rank {
+ public:
+  Rank(Fabric& fabric, std::size_t id, bool bills)
+      : fabric(fabric), id(id), mark_(fabric.clock(id)), bills_(bills) {}
 
-/// Modeled split of one forward+backward pass for the bucketed pipeline:
+  Fabric& fabric;
+  const std::size_t id;
+  std::size_t round = 0;  // progress in flight; an abort reason names it
+  CostLedger ledger;
+
+  double clock() const { return fabric.clock(id); }
+  void advance(double seconds) { fabric.advance(id, seconds); }
+
+  /// Attribute the clock advance since the last bill to `phase`. Under
+  /// faults and stragglers the deltas include the real retransmit and wait
+  /// costs rather than a modeled residual. Ranks outside the protocol's
+  /// breakdown bill nothing.
+  void bill(Phase phase) {
+    if (!bills_) return;
+    const double now = clock();
+    if (now > mark_) ledger.charge_traced(phase, now - mark_, now);
+    mark_ = now;
+  }
+
+  /// Monitor step hook: `compute_s` is the step's own compute (straggler
+  /// factor and jitter included, recv waits excluded) — the per-step signal
+  /// the online straggler detector drifts on — or kDeriveStep.
+  void step_done(double compute_s) const {
+    obs::monitor::hook_step(static_cast<std::int64_t>(id), clock(), compute_s);
+  }
+
+  /// Narrate a parameter-buffer write for the protocol checker (proto.v1
+  /// "acc" event). Buffer ids name PHYSICAL buffers — the center copy that
+  /// lives on rank 0 and each rank's local replica — so a clean run's
+  /// accesses are totally ordered per buffer and only genuinely racy
+  /// schedules flag.
+  void wrote(double buffer) const {
+    if (!obs::tracing_enabled()) return;
+    obs::proto::emit_acc(static_cast<std::int64_t>(id), clock(), buffer,
+                         obs::proto::kAccWrite);
+  }
+  void wrote_replica() const {
+    wrote(obs::proto::local_buffer(static_cast<std::int64_t>(id)));
+  }
+
+ private:
+  double mark_;
+  const bool bills_;
+};
+
+/// The harness every fabric EASGD runner shares. It owns the fabric and
+/// everything around the protocol: the monitor's run hooks, the wire
+/// metrics, one thread per rank with its clock binding, trace span and
+/// ledger, the failure contract, the center's probes and the RunResult. A
+/// runner supplies only its per-rank body.
+///
+/// Failure contract: a RankFailure escaping a body — this rank crashed
+/// (kCrashed, already marked failed in the fabric) or a peer vanished
+/// mid-exchange (kPeerGone/kTimeout) — is caught here. The rank records the
+/// first abort reason, rank 0 closes the trace with a probe at the center's
+/// completed progress, and the rank retires so blocked peers cascade out.
+/// Only worker ranks count toward workers_survived.
+class FabricRun {
+ public:
+  /// kSpmd: every rank is a worker, rank 0 also holds the center, and rank
+  /// 0's ledger is the breakdown (the ranks are symmetric). kCentered: rank
+  /// 0 is a dedicated center (server or master) for workers 1..W, and the
+  /// breakdown sums every rank, like Table 3 sums device time over GPUs.
+  enum class Topology { kSpmd, kCentered };
+  /// What a rank runs: its per-rank trace span and its protocol body.
+  struct Role {
+    const char* span;
+    std::function<void(Rank&)> body;
+  };
+
+  FabricRun(const AlgoContext& ctx, const FabricClusterConfig& cluster,
+            Topology topology)
+      : ctx(ctx),
+        cfg(ctx.config),
+        spmd(topology == Topology::kSpmd),
+        workers(ctx.config.workers),
+        ranks(spmd ? workers : workers + 1),
+        fabric(ranks, cluster.network, cluster.faults),
+        fb_s(static_cast<double>(cfg.batch_size) *
+             cluster.model.flops_per_sample / cluster.node_flops),
+        up_s((cluster.model.weight_bytes / 4.0) *
+             cluster.update_flops_per_param / cluster.node_flops),
+        wire_before_(obs::metrics().snapshot()),
+        ledgers_(ranks) {
+    DS_CHECK(workers > 0, "need at least one worker");
+    obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
+    if (!spmd) {
+      // W̄₀ and the layer geometry come from one reference replica.
+      reference = ctx.factory();
+      const auto params = reference->arena().full_params();
+      initial.assign(params.begin(), params.end());
+      center = initial;
+    }
+  }
+
+  const AlgoContext& ctx;
+  const TrainConfig& cfg;
+  const bool spmd;
+  const std::size_t workers;
+  const std::size_t ranks;
+  Fabric fabric;
+  // Per-iteration local costs charged to each rank's fabric clock; the
+  // communication costs come from the fabric itself, message by message.
+  const double fb_s;
+  const double up_s;
+  std::unique_ptr<Network> reference;  // kCentered only
+  std::vector<float> initial;          // kCentered only: W̄₀
+  std::vector<float> center;           // written only by rank 0's thread
+
+  /// Rank 0: round t's center step is done; probe on the eval cadence.
+  void round_done(std::size_t t) {
+    completed_ = t;
+    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
+      probes_.push_back(Probe{t, fabric.clock(0), center});
+    }
+  }
+
+  RunResult execute(std::string method, const Role& rank0,
+                    const Role& others) {
+    parallel_for_threads(ranks, [&](std::size_t id) {
+      rank_main(id, id == 0 ? rank0 : others);
+    });
+    obs::monitor::hook_run_finalize(fabric.max_clock());
+
+    RunResult res;
+    res.method = std::move(method);
+    res.workers = workers;
+    res.workers_survived = workers;
+    for (std::size_t id = spmd ? 0 : 1; id < ranks; ++id) {
+      // Ranks that crashed end in kFailed; ranks that caught a peer's
+      // failure and unwound cleanly retire like normal finishers.
+      if (fabric.state(id) == Fabric::RankState::kFailed) {
+        --res.workers_survived;
+      }
+    }
+    {
+      // Ranks are joined, but the capability still travels with the member.
+      const MutexLock lock(abort_.mutex);
+      res.abort_reason = abort_.reason;
+    }
+    res.aborted = !res.abort_reason.empty();
+    res.iterations = res.aborted ? completed_ : cfg.iterations;
+    res.final_params = std::move(center);
+    Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
+    for (const Probe& probe : probes_) {
+      TracePoint p = eval.evaluate_packed(probe.center);
+      p.iteration = probe.iteration;
+      p.vtime = probe.vtime;
+      res.trace.push_back(p);
+    }
+    res.total_seconds = fabric.max_clock();
+    if (!res.trace.empty()) {
+      res.final_accuracy = res.trace.back().accuracy;
+      res.final_loss = res.trace.back().loss;
+    }
+    // The measured clock deltas ARE the breakdown, summed in rank order.
+    for (const CostLedger& ledger : ledgers_) res.ledger += ledger;
+    // Wire totals are the fabric metric deltas over the run (runs are
+    // serial in-process, so the delta is exactly this fabric's).
+    const obs::MetricsSnapshot after = obs::metrics().snapshot();
+    res.messages_sent = static_cast<std::uint64_t>(
+        after.delta(wire_before_, obs::names::kFabricMessagesSent));
+    res.bytes_sent = static_cast<std::uint64_t>(
+        after.delta(wire_before_, obs::names::kFabricBytesSent));
+    res.retransmits = static_cast<std::uint64_t>(
+        after.delta(wire_before_, obs::names::kFabricRetransmits));
+    return res;
+  }
+
+ private:
+  struct Probe {
+    std::size_t iteration;
+    double vtime;
+    std::vector<float> center;
+  };
+
+  void rank_main(std::size_t id, const Role& role) {
+    const RankClock rank_clock{&fabric, id};
+    const obs::RankScope obs_rank(static_cast<std::int64_t>(id),
+                                  &RankClock::read, &rank_clock);
+    DS_TRACE_SPAN("algo", role.span);
+    Rank rank(fabric, id, !spmd || id == 0);
+    try {
+      role.body(rank);
+    } catch (const RankFailure& failure) {
+      {
+        const MutexLock lock(abort_.mutex);
+        if (abort_.reason.empty()) {
+          std::ostringstream os;
+          os << "round " << rank.round << " aborted at rank " << id << ": "
+             << failure.what();
+          abort_.reason = os.str();
+        }
+      }
+      if (id == 0 &&
+          (probes_.empty() || probes_.back().iteration < completed_)) {
+        probes_.push_back(Probe{completed_, fabric.clock(0), center});
+      }
+      obs::monitor::hook_failure(static_cast<std::int64_t>(id),
+                                 fabric.clock(id), failure.what());
+    }
+    ledgers_[id] = rank.ledger;
+    fabric.retire(id);
+  }
+
+  const obs::MetricsSnapshot wire_before_;
+  std::vector<Probe> probes_;        // written only by rank 0's thread
+  std::size_t completed_ = 0;        // written only by rank 0's thread
+  std::vector<CostLedger> ledgers_;  // slot r written only by rank r
+  struct AbortSlot {
+    Mutex mutex;
+    std::string reason DS_GUARDED_BY(mutex);  // first failure wins
+  } abort_;
+};
+
+/// Bucketed-exchange geometry (DESIGN.md §10), a constant of the
+/// configuration that every rank shares: the bucket plan over the reference
+/// replica's layers, and the modeled split of one forward+backward —
 /// forward = fb/3, backward = the remaining 2·fb/3 apportioned over layers
 /// by their flops (uniform when the model reports none). The per-layer
-/// shares are what the backprop hook advances the rank clock by, so bucket
+/// shares are what the producer advances the rank clock by, so bucket
 /// launch times land inside the backward span exactly where the retiring
 /// layer does.
-struct BackwardShares {
+struct Buckets {
+  Buckets() = default;
+  Buckets(const Network& net, std::size_t bucket_bytes, double fb_s)
+      : plan(net.arena().layer_sizes(), bucket_bytes), fwd_s(fb_s / 3.0) {
+    const std::vector<double>& lf = net.layer_flops();
+    double total = 0.0;
+    for (double f : lf) total += f;
+    const double span = fb_s - fwd_s;
+    bwd_secs.assign(lf.size(), 0.0);
+    for (std::size_t i = 0; i < lf.size(); ++i) {
+      bwd_secs[i] = total > 0.0 ? span * lf[i] / total
+                                : span / static_cast<double>(lf.size());
+    }
+  }
+
+  std::size_t count() const { return plan.bucket_count(); }
+  double frac(std::size_t b) const {
+    return static_cast<double>(plan.bucket(b).params) /
+           static_cast<double>(plan.total_params());
+  }
+
+  BucketPlan plan;
   double fwd_s = 0.0;
   std::vector<double> bwd_secs;
 };
-
-BackwardShares backward_shares(const Network& net, double fb_s) {
-  BackwardShares out;
-  out.fwd_s = fb_s / 3.0;
-  const std::vector<double>& lf = net.layer_flops();
-  double total = 0.0;
-  for (double f : lf) total += f;
-  const double span = fb_s - out.fwd_s;
-  out.bwd_secs.assign(lf.size(), 0.0);
-  for (std::size_t i = 0; i < lf.size(); ++i) {
-    out.bwd_secs[i] = total > 0.0
-                          ? span * lf[i] / total
-                          : span / static_cast<double>(lf.size());
-  }
-  return out;
-}
 
 /// Wire form of one bucket push: the bucket id rides as payload[0] so every
 /// bucket shares ONE push tag (per-sender FIFO then delivers a worker's
@@ -96,1016 +301,455 @@ std::vector<float> bucket_push_payload(const BucketPlan& plan, std::size_t b,
   return payload;
 }
 
-void apply_fabric_wire(RunResult& res, const obs::MetricsSnapshot& before) {
-  const obs::MetricsSnapshot after = obs::metrics().snapshot();
-  res.messages_sent = static_cast<std::uint64_t>(
-      after.delta(before, obs::names::kFabricMessagesSent));
-  res.bytes_sent = static_cast<std::uint64_t>(
-      after.delta(before, obs::names::kFabricBytesSent));
-  res.retransmits = static_cast<std::uint64_t>(
-      after.delta(before, obs::names::kFabricRetransmits));
+/// A worker's model replica and its private batch stream.
+class Replica {
+ public:
+  Replica(const FabricRun& run, Rank& rank, std::uint64_t seed_mult)
+      : net(run.ctx.factory()),
+        run_(run),
+        rank_(rank),
+        sampler_(*run.ctx.train, run.cfg.batch_size,
+                 run.cfg.seed * seed_mult + rank.id) {}
+
+  const std::unique_ptr<Network> net;
+
+  std::span<float> params() { return net->arena().full_params(); }
+
+  /// One forward+backward on the next batch, its modeled cost on the rank
+  /// clock: all of fb_s after the pass or, bucketed, the forward share up
+  /// front and the backward shares layer by layer from inside `producer`.
+  /// Returns the clock delta, the step's own compute.
+  double compute(const Buckets* bk = nullptr,
+                 const Network::LayerReadyHook& producer = {}) {
+    const double begin = rank_.clock();
+    sampler_.next(batch_, labels_);
+    net->zero_grads();
+    if (bk != nullptr) {
+      rank_.advance(bk->fwd_s);
+      net->forward_backward(batch_, labels_, producer);
+    } else {
+      net->forward_backward(batch_, labels_);
+      rank_.advance(run_.fb_s);
+    }
+    const double end = rank_.clock();
+    rank_.bill(Phase::kForwardBackward);
+    return end - begin;
+  }
+
+  /// Eq. (1) against `center`, narrated as a write to this replica.
+  void update(std::span<const float> center, float lr) {
+    easgd_worker_step(params(), net->arena().full_grads(), center, lr,
+                      run_.cfg.rho);
+    rank_.advance(run_.up_s);
+    rank_.bill(Phase::kGpuUpdate);
+    rank_.wrote_replica();
+  }
+
+  /// Eq. (1) on bucket b's slice against its center slice `cs`.
+  void update_slice(const Buckets& bk, std::size_t b,
+                    std::span<const float> cs, float lr) {
+    DS_CHECK(cs.size() == bk.plan.bucket(b).params, "malformed bucket reply");
+    easgd_worker_step(
+        bk.plan.slice(params(), b),
+        bk.plan.slice(std::span<const float>(net->arena().full_grads()), b),
+        cs, lr, run_.cfg.rho);
+    rank_.advance(run_.up_s * bk.frac(b));
+    rank_.bill(Phase::kGpuUpdate);
+  }
+
+ private:
+  const FabricRun& run_;
+  Rank& rank_;
+  BatchSampler sampler_;
+  Tensor batch_;
+  std::vector<std::int32_t> labels_;
+};
+
+/// The bucketed pipeline's producer: each retiring layer advances its
+/// modeled backward share; a layer that completes a bucket ships the
+/// PRE-update slice in flight (DMA-model send, riding under the remaining
+/// backward) to rank 0 and then runs `after(b)`.
+Network::LayerReadyHook bucket_producer(
+    Rank& r, const Buckets& bk, Network& net, int push_tag,
+    std::function<void(std::size_t)> after = {}) {
+  return [&r, &bk, &net, push_tag, after](std::size_t layer) {
+    r.advance(bk.bwd_secs[layer]);
+    const std::size_t b = bk.plan.completes_at(layer);
+    if (b == BucketPlan::kNoBucket) return;
+    r.bill(Phase::kForwardBackward);
+    r.fabric.send_overlapped(
+        r.id, 0, push_tag,
+        bucket_push_payload(bk.plan, b, net.arena().full_params()));
+    r.bill(Phase::kGpuGpuParamComm);
+    if (after) after(b);
+  };
+}
+
+/// The master's half of Figure 5's interaction, shared by the parameter
+/// server and the round-robin master: Eq. (2) against the pushed worker
+/// weights, then the fresh W̄ back to the worker.
+void serve_push(FabricRun& run, Rank& r, std::size_t src,
+                std::span<const float> w_i, std::size_t t, int reply_tag) {
+  easgd_center_step(run.center, w_i, run.cfg.lr_at(t), run.cfg.rho);
+  r.advance(run.up_s);
+  r.bill(Phase::kCpuUpdate);
+  r.wrote(obs::proto::kCenterBuffer);
+  run.fabric.send(0, src, reply_tag, run.center);
+  r.bill(Phase::kGpuGpuParamComm);  // reply transmit
+}
+
+/// The worker's half: gradient at the LOCAL weights (elastic worker), push
+/// W_i, await W̄, Eq. (1) against it — `rounds` times.
+void push_pull_worker(FabricRun& run, Rank& r, std::uint64_t seed_mult,
+                      std::size_t rounds, int push_tag, int reply_tag) {
+  Replica rep(run, r, seed_mult);
+  copy(run.initial, rep.params());
+  for (r.round = 1; r.round <= rounds; ++r.round) {
+    DS_TRACE_SPAN("algo", "interaction");
+    const double compute_s = rep.compute();
+    run.fabric.send(r.id, 0, push_tag,
+                    std::vector<float>(rep.params().begin(),
+                                       rep.params().end()));
+    const std::vector<float> center = run.fabric.recv(r.id, 0, reply_tag);
+    r.bill(Phase::kGpuGpuParamComm);  // push + wait for the reply
+    rep.update(center, run.cfg.lr_at(r.round));
+    r.step_done(compute_s);
+  }
 }
 
 }  // namespace
 
 RunResult run_fabric_easgd(const AlgoContext& ctx,
                            const FabricClusterConfig& cluster) {
+  FabricRun run(ctx, cluster, FabricRun::Topology::kSpmd);
   const TrainConfig& cfg = ctx.config;
-  const std::size_t ranks = cfg.workers;
-  DS_CHECK(ranks > 0, "need at least one rank");
+  auto body = [&](Rank& r) {
+    Replica rep(run, r, 48271);
+    // Rank 0's initial weights define W̄₀ for everyone (Algorithm 4
+    // line 4: "KNL1 broadcasts W to all KNLs"); rank 0's copy is the
+    // run's center.
+    std::vector<float> local;
+    std::vector<float>& center = r.id == 0 ? run.center : local;
+    center.assign(rep.params().begin(), rep.params().end());
+    run.fabric.tree_broadcast(r.id, 0, center);
+    copy(center, rep.params());
+    r.bill(Phase::kInit);
 
-  Fabric fabric(ranks, cluster.network, cluster.faults);
-  const obs::MetricsSnapshot wire_before = obs::metrics().snapshot();
-  obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
+    std::vector<float> sum_w(rep.net->param_count());
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      const std::size_t t = r.round;
+      DS_TRACE_SPAN("algo", "round");
+      // Line 11: forward/backward on every node.
+      const double compute_s = rep.compute();
 
-  // Per-iteration local costs charged to each rank's fabric clock; the
-  // communication costs come from the fabric itself, message by message.
-  const double fb_s = static_cast<double>(cfg.batch_size) *
-                      cluster.model.flops_per_sample / cluster.node_flops;
-  const double up_s = (cluster.model.weight_bytes / 4.0) *
-                      cluster.update_flops_per_param / cluster.node_flops;
+      // Line 12: KNL1 broadcasts W̄_t.
+      run.fabric.tree_broadcast(r.id, 0, center);
 
-  struct Probe {
-    std::size_t iteration;
-    double vtime;
-    std::vector<float> center;
-  };
-  std::vector<Probe> probes;         // written only by rank 0
-  std::vector<float> final_center;   // written only by rank 0
-  std::size_t completed_rounds = 0;  // written only by rank 0
-  CostLedger rank0_ledger;           // written only by rank 0
-  std::atomic<bool> any_failure{false};
-  struct AbortSlot {
-    Mutex mutex;
-    std::string reason DS_GUARDED_BY(mutex);  // first failure wins
-  } abort;
+      // Line 13: KNL1 gets Σ W_j^t (pre-update weights). tree_reduce
+      // consumes non-root buffers, so refill by assignment every round.
+      sum_w.assign(rep.params().begin(), rep.params().end());
+      run.fabric.tree_reduce(r.id, 0, sum_w);
+      r.bill(Phase::kGpuGpuParamComm);
 
-  auto rank_main = [&](std::size_t rank) {
-    const RankClock rank_clock{&fabric, rank};
-    const obs::RankScope obs_rank(static_cast<std::int64_t>(rank),
-                                  &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "fabric_easgd_rank");
-    const std::unique_ptr<Network> net = ctx.factory();
-    const std::size_t n = net->param_count();
+      // Line 14: every node applies Eq. (1) against the broadcast W̄_t.
+      rep.update(center, cfg.lr_at(t));
 
-    // Rank 0 attributes its own measured clock advances to the ledger,
-    // phase by phase; under faults/stragglers each round's deltas include
-    // the real retransmit and wait costs rather than a modeled residual.
-    double mark = fabric.clock(rank);
-    auto charge0 = [&](Phase phase) {
-      if (rank != 0) return;
-      const double now = fabric.clock(0);
-      if (now > mark) rank0_ledger.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-
-    // Rank 0's initial weights define W̄₀ for everyone (Algorithm 4 line 4:
-    // "KNL1 broadcasts W to all KNLs").
-    std::vector<float> center(net->arena().full_params().begin(),
-                              net->arena().full_params().end());
-    std::size_t t = 0;
-    try {
-      fabric.tree_broadcast(rank, 0, center);
-      copy(center, net->arena().full_params());
-      charge0(Phase::kInit);
-
-      BatchSampler sampler(*ctx.train, cfg.batch_size,
-                           cfg.seed * 48271 + rank);
-      Tensor batch;
-      std::vector<std::int32_t> labels;
-      std::vector<float> sum_w(n);
-
-      for (t = 1; t <= cfg.iterations; ++t) {
-        DS_TRACE_SPAN("algo", "round");
-        // Line 11: forward/backward on every node. The clock delta across
-        // the advance is this rank's OWN compute (straggler factor and
-        // jitter included, recv waits excluded) — the per-step signal the
-        // online straggler detector drifts on.
-        const double compute_begin = fabric.clock(rank);
-        sampler.next(batch, labels);
-        net->zero_grads();
-        net->forward_backward(batch, labels);
-        fabric.advance(rank, fb_s);
-        const double compute_end = fabric.clock(rank);
-        charge0(Phase::kForwardBackward);
-
-        // Line 12: KNL1 broadcasts W̄_t.
-        fabric.tree_broadcast(rank, 0, center);
-
-        // Line 13: KNL1 gets Σ W_j^t (pre-update weights). tree_reduce
-        // consumes non-root buffers, so refill by assignment every round.
-        const auto params = net->arena().full_params();
-        sum_w.assign(params.begin(), params.end());
-        fabric.tree_reduce(rank, 0, sum_w);
-        charge0(Phase::kGpuGpuParamComm);
-
-        // Line 14: every node applies Eq. (1) against the broadcast W̄_t.
-        easgd_worker_step(net->arena().full_params(),
-                          net->arena().full_grads(), center, cfg.lr_at(t),
-                          cfg.rho);
-        fabric.advance(rank, up_s);
-        charge0(Phase::kGpuUpdate);
-        narrate_acc(fabric, rank, obs::proto::local_buffer(
-                                      static_cast<std::int64_t>(rank)),
-                    obs::proto::kAccWrite);
-
-        // Line 15: KNL1 applies Eq. (2).
-        if (rank == 0) {
-          easgd_center_step_sum(center, sum_w, ranks, cfg.lr_at(t),
-                                cfg.rho);
-          fabric.advance(rank, up_s);
-          charge0(Phase::kCpuUpdate);
-          narrate_acc(fabric, 0, obs::proto::kCenterBuffer,
-                      obs::proto::kAccWrite);
-          completed_rounds = t;
-          if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-            probes.push_back(Probe{t, fabric.clock(0), center});
-          }
-        }
-        obs::monitor::hook_step(static_cast<std::int64_t>(rank),
-                                fabric.clock(rank),
-                                compute_end - compute_begin);
+      // Line 15: KNL1 applies Eq. (2).
+      if (r.id == 0) {
+        easgd_center_step_sum(center, sum_w, run.ranks, cfg.lr_at(t),
+                              cfg.rho);
+        r.advance(run.up_s);
+        r.bill(Phase::kCpuUpdate);
+        r.wrote(obs::proto::kCenterBuffer);
+        run.round_done(t);
       }
-      if (rank == 0) final_center = center;
-      fabric.retire(rank);
-    } catch (const RankFailure& failure) {
-      // Either this rank crashed (kCrashed, already marked failed in the
-      // fabric) or a peer vanished mid-collective (kPeerGone/kTimeout).
-      // Abort the round cleanly: unwind, retire so blocked peers cascade
-      // out, and leave partial progress behind.
-      any_failure.store(true);
-      {
-        const MutexLock lock(abort.mutex);
-        if (abort.reason.empty()) {
-          std::ostringstream os;
-          os << "round " << t << " aborted at rank " << rank << ": "
-             << failure.what();
-          abort.reason = os.str();
-        }
-      }
-      if (rank == 0) {
-        final_center = center;
-        if (probes.empty() || probes.back().iteration < completed_rounds) {
-          probes.push_back(
-              Probe{completed_rounds, fabric.clock(0), center});
-        }
-      }
-      obs::monitor::hook_failure(static_cast<std::int64_t>(rank),
-                                 fabric.clock(rank), failure.what());
-      fabric.retire(rank);
+      r.step_done(compute_s);
     }
   };
-
-  parallel_for_threads(ranks, rank_main);
-  obs::monitor::hook_run_finalize(fabric.max_clock());
-
-  RunResult res;
-  res.method = "Fabric EASGD (SPMD Algorithm 4)";
-  res.workers = ranks;
-  res.workers_survived = ranks - count_failed(fabric);
-  res.aborted = any_failure.load();
-  {
-    // Ranks are joined, but the capability still travels with the member.
-    const MutexLock lock(abort.mutex);
-    res.abort_reason = abort.reason;
-  }
-  res.iterations = res.aborted ? completed_rounds : cfg.iterations;
-  res.final_params = std::move(final_center);
-  Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
-  for (const Probe& probe : probes) {
-    TracePoint p = eval.evaluate_packed(probe.center);
-    p.iteration = probe.iteration;
-    p.vtime = probe.vtime;
-    res.trace.push_back(p);
-  }
-  res.total_seconds = fabric.max_clock();
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
-  // Rank 0's measured per-round clock deltas ARE the breakdown; no modeled
-  // residual. Wire totals come from the fabric's own metric counters.
-  res.ledger = rank0_ledger;
-  apply_fabric_wire(res, wire_before);
-  return res;
+  const FabricRun::Role rank{"fabric_easgd_rank", body};
+  return run.execute("Fabric EASGD (SPMD Algorithm 4)", rank, rank);
 }
 
 RunResult run_fabric_async_easgd(const AlgoContext& ctx,
                                  const FabricClusterConfig& cluster) {
+  FabricRun run(ctx, cluster, FabricRun::Topology::kCentered);
   const TrainConfig& cfg = ctx.config;
-  const std::size_t workers = cfg.workers;
-  DS_CHECK(workers > 0, "need at least one worker");
-  const std::size_t ranks = workers + 1;  // rank 0 is the server
   constexpr int kPushTag = 901;
   constexpr int kReplyTag = 902;
-
-  Fabric fabric(ranks, cluster.network, cluster.faults);
-  const obs::MetricsSnapshot wire_before = obs::metrics().snapshot();
-  obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
-
-  const double fb_s = static_cast<double>(cfg.batch_size) *
-                      cluster.model.flops_per_sample / cluster.node_flops;
-  const double up_s = (cluster.model.weight_bytes / 4.0) *
-                      cluster.update_flops_per_param / cluster.node_flops;
-
-  // Interaction budget split across workers (remainder to low ranks).
-  auto quota = [&](std::size_t worker_rank) {
-    const std::size_t w = worker_rank - 1;
-    return cfg.iterations / workers + (w < cfg.iterations % workers ? 1 : 0);
-  };
-
-  struct Probe {
-    std::size_t interaction;
-    double vtime;
-    std::vector<float> center;
-  };
-  std::vector<Probe> probes;        // written only by the server thread
-  std::vector<float> final_center;  // written only by the server thread
-  std::size_t served = 0;           // written only by the server thread
-  std::atomic<bool> budget_cut{false};
-
-  // Each rank measures its own clock advances into a local ledger; the
-  // merged result is the cluster-wide breakdown (summed over ranks, like
-  // Table 3 sums device time over GPUs).
-  struct LedgerSlot {
-    Mutex mutex;
-    CostLedger merged DS_GUARDED_BY(mutex);  // summed over ranks
-  } ledger_slot;
-  auto merge_ledger = [&](const CostLedger& local) {
-    const MutexLock lock(ledger_slot.mutex);
-    ledger_slot.merged += local;
-  };
-
-  // W̄₀ from one reference replica.
-  const std::unique_ptr<Network> init_net = ctx.factory();
-  const std::vector<float> initial(init_net->arena().full_params().begin(),
-                                   init_net->arena().full_params().end());
-
-  auto server_main = [&] {
-    const RankClock rank_clock{&fabric, 0};
-    const obs::RankScope obs_rank(0, &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "async_server");
-    CostLedger local;
-    double mark = fabric.clock(0);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(0);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-    std::vector<float> center = initial;
-    try {
-      for (std::size_t done = 1; done <= cfg.iterations; ++done) {
-        auto [src, w_i] = fabric.recv_any(0, kPushTag);
-        charge(Phase::kGpuGpuParamComm);  // blocked waiting for a push
-        // Eq. (2) against the pushed worker weights, then return W̄.
-        easgd_center_step(center, w_i, cfg.lr_at(done), cfg.rho);
-        fabric.advance(0, up_s);
-        charge(Phase::kCpuUpdate);
-        narrate_acc(fabric, 0, obs::proto::kCenterBuffer,
-                    obs::proto::kAccWrite);
-        fabric.send(0, src, kReplyTag, center);
-        charge(Phase::kGpuGpuParamComm);  // reply transmit
-        served = done;
-        obs::monitor::hook_step(0, fabric.clock(0), obs::monitor::kDeriveStep);
-        if (done % cfg.eval_every == 0 || done == cfg.iterations) {
-          probes.push_back(Probe{done, fabric.clock(0), center});
-        }
-      }
-    } catch (const RankFailure& failure) {
-      // The surviving workers exhausted their quotas (or the server itself
-      // crashed): the FCFS loop ends with whatever interactions arrived.
-      budget_cut.store(true);
-      obs::monitor::hook_failure(0, fabric.clock(0), failure.what());
+  auto server = [&](Rank& r) {
+    // First-come-first-served: the loop ends early, through the harness's
+    // failure path, once the surviving workers exhaust their quotas (or
+    // the server itself crashes).
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      auto [src, w_i] = run.fabric.recv_any(0, kPushTag);
+      r.bill(Phase::kGpuGpuParamComm);  // blocked waiting for a push
+      serve_push(run, r, src, w_i, r.round, kReplyTag);
+      run.round_done(r.round);
+      r.step_done(obs::monitor::kDeriveStep);
     }
-    final_center = center;
-    merge_ledger(local);
-    fabric.retire(0);
   };
-
-  auto worker_main = [&](std::size_t rank) {
-    const RankClock rank_clock{&fabric, rank};
-    const obs::RankScope obs_rank(static_cast<std::int64_t>(rank),
-                                  &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "async_worker");
-    CostLedger local;
-    double mark = fabric.clock(rank);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(rank);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-    try {
-      const std::unique_ptr<Network> net = ctx.factory();
-      copy(initial, net->arena().full_params());
-      BatchSampler sampler(*ctx.train, cfg.batch_size,
-                           cfg.seed * 31393 + rank);
-      Tensor batch;
-      std::vector<std::int32_t> labels;
-      const std::size_t my_quota = quota(rank);
-
-      for (std::size_t t = 1; t <= my_quota; ++t) {
-        DS_TRACE_SPAN("algo", "interaction");
-        // Gradient at the LOCAL weights (elastic worker), overlapping with
-        // the round trip below only through the fabric's causal clocks.
-        const double compute_begin = fabric.clock(rank);
-        sampler.next(batch, labels);
-        net->zero_grads();
-        net->forward_backward(batch, labels);
-        fabric.advance(rank, fb_s);
-        const double compute_end = fabric.clock(rank);
-        charge(Phase::kForwardBackward);
-
-        // Push W_i, receive W̄ (Figure 5's interaction).
-        std::vector<float> w_i(net->arena().full_params().begin(),
-                               net->arena().full_params().end());
-        fabric.send(rank, 0, kPushTag, std::move(w_i));
-        const std::vector<float> center = fabric.recv(rank, 0, kReplyTag);
-        charge(Phase::kGpuGpuParamComm);  // push + wait for the reply
-
-        // Eq. (1) against the returned center.
-        easgd_worker_step(net->arena().full_params(),
-                          net->arena().full_grads(), center, cfg.lr_at(t),
-                          cfg.rho);
-        fabric.advance(rank, up_s);
-        charge(Phase::kGpuUpdate);
-        narrate_acc(fabric, rank, obs::proto::local_buffer(
-                                      static_cast<std::int64_t>(rank)),
-                    obs::proto::kAccWrite);
-        obs::monitor::hook_step(static_cast<std::int64_t>(rank),
-                                fabric.clock(rank),
-                                compute_end - compute_begin);
-      }
-    } catch (const RankFailure& failure) {
-      // This worker crashed, or the server/reply path is gone. Drop out;
-      // the server keeps going with the survivors.
-      obs::monitor::hook_failure(static_cast<std::int64_t>(rank),
-                                 fabric.clock(rank), failure.what());
-    }
-    merge_ledger(local);
-    fabric.retire(rank);
+  auto worker = [&](Rank& r) {
+    // Interaction budget split across workers (remainder to low ranks).
+    const std::size_t w = r.id - 1;
+    const std::size_t quota = cfg.iterations / run.workers +
+                              (w < cfg.iterations % run.workers ? 1 : 0);
+    push_pull_worker(run, r, 31393, quota, kPushTag, kReplyTag);
   };
-
-  parallel_for_threads(ranks, [&](std::size_t rank) {
-    if (rank == 0) {
-      server_main();
-    } else {
-      worker_main(rank);
-    }
-  });
-  obs::monitor::hook_run_finalize(fabric.max_clock());
-
-  RunResult res;
-  res.method = "Fabric Async EASGD (parameter server)";
-  res.workers = workers;
-  res.workers_survived = workers - count_failed(fabric);
-  res.iterations = served;
-  res.aborted = budget_cut.load();
-  if (res.aborted) {
-    std::ostringstream os;
-    os << "interaction budget cut to " << served << '/' << cfg.iterations
-       << " (" << (workers - res.workers_survived) << " worker(s) lost)";
-    res.abort_reason = os.str();
-  }
-  res.final_params = std::move(final_center);
-  Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
-  for (const Probe& probe : probes) {
-    TracePoint p = eval.evaluate_packed(probe.center);
-    p.iteration = probe.interaction;
-    p.vtime = probe.vtime;
-    res.trace.push_back(p);
-  }
-  res.total_seconds = fabric.max_clock();
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
-  // Breakdown = merged per-rank measured clock deltas (summed over server
-  // and workers); wire totals from the fabric's own metric counters.
-  {
-    const MutexLock lock(ledger_slot.mutex);
-    res.ledger = ledger_slot.merged;
-  }
-  apply_fabric_wire(res, wire_before);
-  return res;
+  return run.execute("Fabric Async EASGD (parameter server)",
+                     {"async_server", server}, {"async_worker", worker});
 }
 
 RunResult run_fabric_bucketed_easgd(const AlgoContext& ctx,
                                     const FabricClusterConfig& cluster) {
   const TrainConfig& cfg = ctx.config;
-  const std::size_t workers = cfg.workers;
-  DS_CHECK(workers > 0, "need at least one worker");
   DS_CHECK(cfg.bucketing.enabled(),
            "run_fabric_bucketed_easgd needs cfg.bucketing.bucket_bytes > 0");
   const bool wait_free = cfg.bucketing.mode == BucketMode::kWaitFree;
-  const std::size_t ranks = workers + 1;  // rank 0 is the center
   constexpr int kPushTag = 905;       // all buckets; payload[0] = bucket id
   constexpr int kReplyTagBase = 910;  // + bucket index
 
-  Fabric fabric(ranks, cluster.network, cluster.faults);
-  const obs::MetricsSnapshot wire_before = obs::metrics().snapshot();
-  obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
-
-  const double fb_s = static_cast<double>(cfg.batch_size) *
-                      cluster.model.flops_per_sample / cluster.node_flops;
-  const double up_s = (cluster.model.weight_bytes / 4.0) *
-                      cluster.update_flops_per_param / cluster.node_flops;
-
-  // Reference replica: W̄₀ plus the layer geometry the plan and the modeled
-  // backward shares are built from. The plan is a constant of the
-  // configuration — every rank uses this one.
-  const std::unique_ptr<Network> init_net = ctx.factory();
-  const std::vector<float> initial(init_net->arena().full_params().begin(),
-                                   init_net->arena().full_params().end());
-  const BucketPlan plan(init_net->arena().layer_sizes(),
-                        cfg.bucketing.bucket_bytes);
-  const std::size_t nbuckets = plan.bucket_count();
+  FabricRun run(ctx, cluster, FabricRun::Topology::kCentered);
+  const std::size_t workers = run.workers;
+  const Buckets bk(*run.reference, cfg.bucketing.bucket_bytes, run.fb_s);
+  const std::size_t nbuckets = bk.count();
   DS_CHECK(nbuckets > 0, "model has no parameters to bucket");
-  const BackwardShares shares = backward_shares(*init_net, fb_s);
-  auto bucket_frac = [&](std::size_t b) {
-    return static_cast<double>(plan.bucket(b).params) /
-           static_cast<double>(plan.total_params());
-  };
 
-  struct Probe {
-    std::size_t iteration;
-    double vtime;
-    std::vector<float> center;
-  };
-  std::vector<Probe> probes;         // written only by the center thread
-  std::vector<float> final_center;   // written only by the center thread
-  std::size_t completed_rounds = 0;  // written only by the center thread
-  std::atomic<bool> any_failure{false};
-  struct AbortSlot {
-    Mutex mutex;
-    std::string reason DS_GUARDED_BY(mutex);  // first failure wins
-  } abort;
-
-  struct LedgerSlot {
-    Mutex mutex;
-    CostLedger merged DS_GUARDED_BY(mutex);  // summed over ranks
-  } ledger_slot;
-  auto merge_ledger = [&](const CostLedger& local) {
-    const MutexLock lock(ledger_slot.mutex);
-    ledger_slot.merged += local;
-  };
-
-  auto center_main = [&] {
-    const RankClock rank_clock{&fabric, 0};
-    const obs::RankScope obs_rank(0, &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "bucketed_center");
-    CostLedger local;
-    double mark = fabric.clock(0);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(0);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
+  auto center_main = [&](Rank& r) {
+    std::vector<float>& center = run.center;
     // Apply Eq. (2) to one bucket slice from its fixed-order (deterministic)
     // or arrival-order (wait-free) Σ Wⱼ, charging the slice's share of the
     // paper-scale update cost.
-    std::vector<float> center = initial;
     auto step_slice = [&](std::size_t b, const std::vector<float>& sum,
                           float lr) {
-      easgd_center_step_sum(plan.slice(std::span<float>(center), b), sum,
+      easgd_center_step_sum(bk.plan.slice(std::span<float>(center), b), sum,
                             workers, lr, cfg.rho);
-      fabric.advance(0, up_s * bucket_frac(b));
-      charge(Phase::kCpuUpdate);
-      narrate_acc(fabric, 0, obs::proto::center_slice_buffer(b),
-                  obs::proto::kAccWrite);
+      r.advance(run.up_s * bk.frac(b));
+      r.bill(Phase::kCpuUpdate);
+      r.wrote(obs::proto::center_slice_buffer(b));
     };
     auto reply_slice = [&](std::size_t dst, std::size_t b) {
-      const auto cs = plan.slice(std::span<const float>(center), b);
-      fabric.send(0, dst, kReplyTagBase + static_cast<int>(b),
-                  std::vector<float>(cs.begin(), cs.end()));
-      charge(Phase::kGpuGpuParamComm);
+      const auto cs = bk.plan.slice(std::span<const float>(center), b);
+      run.fabric.send(0, dst, kReplyTagBase + static_cast<int>(b),
+                      std::vector<float>(cs.begin(), cs.end()));
+      r.bill(Phase::kGpuGpuParamComm);
     };
-    std::size_t t = 0;
-    try {
-      for (t = 1; t <= cfg.iterations; ++t) {
-        DS_TRACE_SPAN("algo", "round");
-        const obs::SpanGuard exch("collective", "bucket_exchange");
-        const float lr = cfg.lr_at(t);
-        if (!wait_free) {
-          // Deterministic service: buckets in retire order, workers in rank
-          // order within each bucket. Per-sender FIFO on the shared push tag
-          // means the w-th matched recv IS worker w's bucket b.
-          std::vector<float> sum;
-          for (std::size_t b = 0; b < nbuckets; ++b) {
-            const std::size_t nb = plan.bucket(b).params;
-            std::vector<std::vector<float>> pushes;
-            pushes.reserve(workers);
-            for (std::size_t w = 1; w <= workers; ++w) {
-              pushes.push_back(fabric.recv(0, w, kPushTag));
-              charge(Phase::kGpuGpuParamComm);
-              DS_CHECK(pushes.back().size() == nb + 1 &&
-                           static_cast<std::size_t>(pushes.back()[0]) == b,
-                       "bucket push out of order");
-            }
-            // Reply the PRE-step slice in the same fixed order, then the
-            // fixed-order sum: both are what makes deterministic-mode
-            // results invariant across bucket sizes.
-            for (std::size_t w = 1; w <= workers; ++w) reply_slice(w, b);
-            sum.assign(nb, 0.0f);
-            for (const std::vector<float>& p : pushes) {
-              for (std::size_t k = 0; k < nb; ++k) sum[k] += p[k + 1];
-            }
-            step_slice(b, sum, lr);
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      const std::size_t t = r.round;
+      DS_TRACE_SPAN("algo", "round");
+      const obs::SpanGuard exch("collective", "bucket_exchange");
+      const float lr = cfg.lr_at(t);
+      if (!wait_free) {
+        // Deterministic service: buckets in retire order, workers in rank
+        // order within each bucket. Per-sender FIFO on the shared push tag
+        // means the w-th matched recv IS worker w's bucket b.
+        std::vector<float> sum;
+        for (std::size_t b = 0; b < nbuckets; ++b) {
+          const std::size_t nb = bk.plan.bucket(b).params;
+          std::vector<std::vector<float>> pushes;
+          pushes.reserve(workers);
+          for (std::size_t w = 1; w <= workers; ++w) {
+            pushes.push_back(run.fabric.recv(0, w, kPushTag));
+            r.bill(Phase::kGpuGpuParamComm);
+            DS_CHECK(pushes.back().size() == nb + 1 &&
+                         static_cast<std::size_t>(pushes.back()[0]) == b,
+                     "bucket push out of order");
           }
-        } else {
-          // Wait-free service: take pushes as they land, reply the pre-step
-          // slice immediately, step a slice once all W contributions are
-          // in. The LAST bucket's replies are held until the whole
-          // iteration is served: a worker's final reply is the iteration
-          // barrier, so no worker can push round t+1 into round t's sums.
-          std::vector<std::vector<float>> sums(nbuckets);
-          std::vector<std::size_t> got(nbuckets, 0);
-          std::vector<std::size_t> last_srcs;
-          for (std::size_t b = 0; b < nbuckets; ++b) {
-            sums[b].assign(plan.bucket(b).params, 0.0f);
+          // Reply the PRE-step slice in the same fixed order, then the
+          // fixed-order sum: both are what makes deterministic-mode
+          // results invariant across bucket sizes.
+          for (std::size_t w = 1; w <= workers; ++w) reply_slice(w, b);
+          sum.assign(nb, 0.0f);
+          for (const std::vector<float>& p : pushes) {
+            for (std::size_t k = 0; k < nb; ++k) sum[k] += p[k + 1];
           }
-          const std::size_t last = nbuckets - 1;
-          for (std::size_t n = 0; n < workers * nbuckets; ++n) {
-            auto [src, push] = fabric.recv_any(0, kPushTag);
-            charge(Phase::kGpuGpuParamComm);
-            DS_CHECK(!push.empty(), "empty bucket push");
-            const std::size_t b = static_cast<std::size_t>(push[0]);
-            DS_CHECK(b < nbuckets &&
-                         push.size() == plan.bucket(b).params + 1,
-                     "malformed bucket push");
-            if (b < last) {
-              reply_slice(src, b);
-            } else {
-              last_srcs.push_back(src);
-            }
-            for (std::size_t k = 0; k + 1 < push.size(); ++k) {
-              sums[b][k] += push[k + 1];
-            }
-            if (++got[b] == workers && b < last) step_slice(b, sums[b], lr);
-          }
-          // Every push of the round is in: release the barrier with the
-          // last bucket's pre-step slice (arrival order), then step it.
-          for (const std::size_t src : last_srcs) reply_slice(src, last);
-          step_slice(last, sums[last], lr);
+          step_slice(b, sum, lr);
         }
-        completed_rounds = t;
-        obs::monitor::hook_step(0, fabric.clock(0), obs::monitor::kDeriveStep);
-        if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-          probes.push_back(Probe{t, fabric.clock(0), center});
+      } else {
+        // Wait-free service: take pushes as they land, reply the pre-step
+        // slice immediately, step a slice once all W contributions are
+        // in. The LAST bucket's replies are held until the whole
+        // iteration is served: a worker's final reply is the iteration
+        // barrier, so no worker can push round t+1 into round t's sums.
+        std::vector<std::vector<float>> sums(nbuckets);
+        std::vector<std::size_t> got(nbuckets, 0);
+        std::vector<std::size_t> last_srcs;
+        for (std::size_t b = 0; b < nbuckets; ++b) {
+          sums[b].assign(bk.plan.bucket(b).params, 0.0f);
+        }
+        const std::size_t last = nbuckets - 1;
+        for (std::size_t n = 0; n < workers * nbuckets; ++n) {
+          auto [src, push] = run.fabric.recv_any(0, kPushTag);
+          r.bill(Phase::kGpuGpuParamComm);
+          DS_CHECK(!push.empty(), "empty bucket push");
+          const std::size_t b = static_cast<std::size_t>(push[0]);
+          DS_CHECK(b < nbuckets && push.size() == bk.plan.bucket(b).params + 1,
+                   "malformed bucket push");
+          if (b < last) {
+            reply_slice(src, b);
+          } else {
+            last_srcs.push_back(src);
+          }
+          for (std::size_t k = 0; k + 1 < push.size(); ++k) {
+            sums[b][k] += push[k + 1];
+          }
+          if (++got[b] == workers && b < last) step_slice(b, sums[b], lr);
+        }
+        // Every push of the round is in: release the barrier with the
+        // last bucket's pre-step slice (arrival order), then step it.
+        for (const std::size_t src : last_srcs) reply_slice(src, last);
+        step_slice(last, sums[last], lr);
+      }
+      run.round_done(t);
+      r.step_done(obs::monitor::kDeriveStep);
+    }
+  };
+
+  auto worker_main = [&](Rank& r) {
+    Replica rep(run, r, 40503);
+    copy(run.initial, rep.params());
+    std::vector<bool> applied(nbuckets, false);
+    float lr = cfg.lr_at(1);
+    // Eq. (1) on one bucket slice against its PRE-step center reply. Safe
+    // mid-backward: the slice's gradients retired with the bucket and the
+    // remaining backward only touches lower layers.
+    auto apply_bucket = [&](std::size_t b, const std::vector<float>& cs) {
+      rep.update_slice(bk, b, cs, lr);
+      applied[b] = true;
+    };
+    // Wait-free, each launch also drains earlier buckets whose replies
+    // already landed.
+    auto drain = [&](std::size_t launched) {
+      for (std::size_t p = 0; p < launched; ++p) {
+        if (applied[p]) continue;
+        std::vector<float> reply;
+        if (run.fabric.try_recv(r.id, 0, kReplyTagBase + static_cast<int>(p),
+                                reply)) {
+          r.bill(Phase::kGpuGpuParamComm);
+          apply_bucket(p, reply);
         }
       }
-    } catch (const RankFailure& failure) {
-      any_failure.store(true);
+    };
+    const Network::LayerReadyHook producer =
+        wait_free ? bucket_producer(r, bk, *rep.net, kPushTag, drain)
+                  : bucket_producer(r, bk, *rep.net, kPushTag);
+
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      DS_TRACE_SPAN("algo", "round");
+      lr = cfg.lr_at(r.round);
+      applied.assign(nbuckets, false);
+      // The overlapped bucket posts inside backward are alpha-only and
+      // negligible next to the compute advances.
+      const double compute_s = rep.compute(&bk, producer);
+      // Pipeline tail: buckets with no reply yet are collected in retire
+      // order — this wait is exactly the exchange left EXPOSED past
+      // backward.
       {
-        const MutexLock lock(abort.mutex);
-        if (abort.reason.empty()) {
-          std::ostringstream os;
-          os << "round " << t << " aborted at center: " << failure.what();
-          abort.reason = os.str();
+        const obs::SpanGuard exch("collective", "bucket_exchange");
+        for (std::size_t b = 0; b < nbuckets; ++b) {
+          if (applied[b]) continue;
+          const std::vector<float> reply =
+              run.fabric.recv(r.id, 0, kReplyTagBase + static_cast<int>(b));
+          r.bill(Phase::kGpuGpuParamComm);
+          apply_bucket(b, reply);
         }
       }
-      if (probes.empty() || probes.back().iteration < completed_rounds) {
-        probes.push_back(Probe{completed_rounds, fabric.clock(0), center});
-      }
-      obs::monitor::hook_failure(0, fabric.clock(0), failure.what());
+      r.wrote_replica();
+      r.step_done(compute_s);
     }
-    final_center = center;
-    merge_ledger(local);
-    fabric.retire(0);
   };
 
-  auto worker_main = [&](std::size_t rank) {
-    const RankClock rank_clock{&fabric, rank};
-    const obs::RankScope obs_rank(static_cast<std::int64_t>(rank),
-                                  &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "bucketed_worker");
-    CostLedger local;
-    double mark = fabric.clock(rank);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(rank);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-    try {
-      const std::unique_ptr<Network> net = ctx.factory();
-      copy(initial, net->arena().full_params());
-      BatchSampler sampler(*ctx.train, cfg.batch_size,
-                           cfg.seed * 40503 + rank);
-      Tensor batch;
-      std::vector<std::int32_t> labels;
-      std::vector<bool> applied(nbuckets, false);
-      float lr = cfg.lr_at(1);
-
-      // Eq. (1) on one bucket slice against its PRE-step center reply.
-      // Safe mid-backward: the slice's gradients retired with the bucket
-      // and the remaining backward only touches lower layers.
-      auto apply_bucket = [&](std::size_t b, const std::vector<float>& cs) {
-        DS_CHECK(cs.size() == plan.bucket(b).params,
-                 "malformed bucket reply");
-        easgd_worker_step(
-            plan.slice(net->arena().full_params(), b),
-            plan.slice(std::span<const float>(net->arena().full_grads()), b),
-            cs, lr, cfg.rho);
-        fabric.advance(rank, up_s * bucket_frac(b));
-        charge(Phase::kGpuUpdate);
-        applied[b] = true;
-      };
-
-      // The pipeline's producer: each retiring layer advances its modeled
-      // backward share; a layer that completes a bucket ships the
-      // PRE-update slice in flight (DMA-model send) and — wait-free — drains
-      // any earlier buckets whose replies already landed.
-      const Network::LayerReadyHook hook = [&](std::size_t layer) {
-        fabric.advance(rank, shares.bwd_secs[layer]);
-        const std::size_t b = plan.completes_at(layer);
-        if (b == BucketPlan::kNoBucket) return;
-        charge(Phase::kForwardBackward);
-        fabric.send_overlapped(
-            rank, 0, kPushTag,
-            bucket_push_payload(plan, b, net->arena().full_params()));
-        charge(Phase::kGpuGpuParamComm);
-        if (!wait_free) return;
-        for (std::size_t p = 0; p < b; ++p) {
-          if (applied[p]) continue;
-          std::vector<float> reply;
-          if (fabric.try_recv(rank, 0,
-                              kReplyTagBase + static_cast<int>(p), reply)) {
-            charge(Phase::kGpuGpuParamComm);
-            apply_bucket(p, reply);
-          }
-        }
-      };
-
-      for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-        DS_TRACE_SPAN("algo", "round");
-        lr = cfg.lr_at(t);
-        applied.assign(nbuckets, false);
-        // Forward + the per-layer backward shares (straggler-scaled); the
-        // overlapped bucket posts in between are alpha-only and negligible
-        // next to the compute advances.
-        const double compute_begin = fabric.clock(rank);
-        sampler.next(batch, labels);
-        net->zero_grads();
-        fabric.advance(rank, shares.fwd_s);
-        net->forward_backward(batch, labels, hook);
-        const double compute_end = fabric.clock(rank);
-        charge(Phase::kForwardBackward);
-
-        // Pipeline tail: buckets with no reply yet are collected in retire
-        // order — this wait is exactly the exchange left EXPOSED past
-        // backward.
-        {
-          const obs::SpanGuard exch("collective", "bucket_exchange");
-          for (std::size_t b = 0; b < nbuckets; ++b) {
-            if (applied[b]) continue;
-            const std::vector<float> reply =
-                fabric.recv(rank, 0, kReplyTagBase + static_cast<int>(b));
-            charge(Phase::kGpuGpuParamComm);
-            apply_bucket(b, reply);
-          }
-        }
-        narrate_acc(fabric, rank,
-                    obs::proto::local_buffer(static_cast<std::int64_t>(rank)),
-                    obs::proto::kAccWrite);
-        obs::monitor::hook_step(static_cast<std::int64_t>(rank),
-                                fabric.clock(rank),
-                                compute_end - compute_begin);
-      }
-    } catch (const RankFailure& failure) {
-      // This worker crashed or the center is gone; drop out cleanly so the
-      // center's next recv on us raises kPeerGone and aborts the round.
-      obs::monitor::hook_failure(static_cast<std::int64_t>(rank),
-                                 fabric.clock(rank), failure.what());
-    }
-    merge_ledger(local);
-    fabric.retire(rank);
-  };
-
-  parallel_for_threads(ranks, [&](std::size_t rank) {
-    if (rank == 0) {
-      center_main();
-    } else {
-      worker_main(rank);
-    }
-  });
-  obs::monitor::hook_run_finalize(fabric.max_clock());
-
-  RunResult res;
-  res.method = wait_free ? "Fabric Bucketed EASGD (wait-free)"
-                         : "Fabric Bucketed EASGD (deterministic)";
-  res.workers = workers;
-  res.workers_survived = workers - count_failed(fabric);
-  res.aborted = any_failure.load();
-  {
-    // Ranks are joined, but the capability still travels with the member.
-    const MutexLock lock(abort.mutex);
-    res.abort_reason = abort.reason;
-  }
-  res.iterations = res.aborted ? completed_rounds : cfg.iterations;
-  res.final_params = std::move(final_center);
-  Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
-  for (const Probe& probe : probes) {
-    TracePoint p = eval.evaluate_packed(probe.center);
-    p.iteration = probe.iteration;
-    p.vtime = probe.vtime;
-    res.trace.push_back(p);
-  }
-  res.total_seconds = fabric.max_clock();
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
-  {
-    const MutexLock lock(ledger_slot.mutex);
-    res.ledger = ledger_slot.merged;
-  }
-  apply_fabric_wire(res, wire_before);
-  return res;
+  return run.execute(wait_free ? "Fabric Bucketed EASGD (wait-free)"
+                               : "Fabric Bucketed EASGD (deterministic)",
+                     {"bucketed_center", center_main},
+                     {"bucketed_worker", worker_main});
 }
 
 RunResult run_fabric_round_robin_easgd(const AlgoContext& ctx,
                                        const FabricClusterConfig& cluster) {
+  FabricRun run(ctx, cluster, FabricRun::Topology::kCentered);
   const TrainConfig& cfg = ctx.config;
-  const std::size_t workers = cfg.workers;
-  DS_CHECK(workers > 0, "need at least one worker");
-  const std::size_t ranks = workers + 1;  // rank 0 is the master
   constexpr int kPushTag = 903;
   constexpr int kReplyTag = 904;
-
-  Fabric fabric(ranks, cluster.network, cluster.faults);
-  const obs::MetricsSnapshot wire_before = obs::metrics().snapshot();
-  obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
-
-  const double fb_s = static_cast<double>(cfg.batch_size) *
-                      cluster.model.flops_per_sample / cluster.node_flops;
-  const double up_s = (cluster.model.weight_bytes / 4.0) *
-                      cluster.update_flops_per_param / cluster.node_flops;
-
-  struct Probe {
-    std::size_t sweep;
-    double vtime;
-    std::vector<float> center;
-  };
-  std::vector<Probe> probes;        // written only by the master thread
-  std::vector<float> final_center;  // written only by the master thread
-  std::size_t completed_sweeps = 0;  // written only by the master thread
-  std::atomic<bool> any_failure{false};
-  struct AbortSlot {
-    Mutex mutex;
-    std::string reason DS_GUARDED_BY(mutex);  // first failure wins
-  } abort;
-
-  struct LedgerSlot {
-    Mutex mutex;
-    CostLedger merged DS_GUARDED_BY(mutex);  // summed over ranks
-  } ledger_slot;
-  auto merge_ledger = [&](const CostLedger& local) {
-    const MutexLock lock(ledger_slot.mutex);
-    ledger_slot.merged += local;
-  };
-
-  // W̄₀ from one reference replica.
-  const std::unique_ptr<Network> init_net = ctx.factory();
-  const std::vector<float> initial(init_net->arena().full_params().begin(),
-                                   init_net->arena().full_params().end());
+  constexpr std::uint64_t kSeedMult = 69621;
 
   // Optional bucketing (DESIGN.md §10): workers ship buckets in flight as
   // backward retires them; the master's sweep serves each worker's buckets
   // in retire order — still matched receives only, so the schedule stays a
   // constant of (workers, iterations, plan).
   const bool bucketed = cfg.bucketing.enabled();
-  const BucketPlan plan =
-      bucketed ? BucketPlan(init_net->arena().layer_sizes(),
-                            cfg.bucketing.bucket_bytes)
-               : BucketPlan();
-  const BackwardShares shares =
-      bucketed ? backward_shares(*init_net, fb_s) : BackwardShares();
-  auto bucket_frac = [&](std::size_t b) {
-    return static_cast<double>(plan.bucket(b).params) /
-           static_cast<double>(plan.total_params());
-  };
+  const Buckets bk =
+      bucketed ? Buckets(*run.reference, cfg.bucketing.bucket_bytes, run.fb_s)
+               : Buckets();
 
-  auto master_main = [&] {
-    const RankClock rank_clock{&fabric, 0};
-    const obs::RankScope obs_rank(0, &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "round_robin_master");
-    CostLedger local;
-    double mark = fabric.clock(0);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(0);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-    std::vector<float> center = initial;
-    std::size_t t = 0;
-    try {
-      for (t = 1; t <= cfg.iterations; ++t) {
-        DS_TRACE_SPAN("algo", "sweep");
-        // Algorithm 1's loop: visit every worker in rank order. Matched
-        // receives make the schedule a constant of the configuration.
-        for (std::size_t w = 1; w <= workers; ++w) {
-          if (bucketed) {
-            // Serve worker w's buckets in retire order (per-sender FIFO on
-            // the push tag delivers exactly that order): Eq. (2) per slice,
-            // reply the POST-step slice — the round-robin master always
-            // returns the fresh center.
-            for (std::size_t b = 0; b < plan.bucket_count(); ++b) {
-              const std::vector<float> push = fabric.recv(0, w, kPushTag);
-              charge(Phase::kGpuGpuParamComm);
-              DS_CHECK(push.size() == plan.bucket(b).params + 1 &&
-                           static_cast<std::size_t>(push[0]) == b,
-                       "bucket push out of order");
-              const auto cs = plan.slice(std::span<float>(center), b);
-              easgd_center_step(cs,
-                                std::span<const float>(push).subspan(1),
-                                cfg.lr_at(t), cfg.rho);
-              fabric.advance(0, up_s * bucket_frac(b));
-              charge(Phase::kCpuUpdate);
-              narrate_acc(fabric, 0, obs::proto::center_slice_buffer(b),
-                          obs::proto::kAccWrite);
-              fabric.send(0, w, kReplyTag,
-                          std::vector<float>(cs.begin(), cs.end()));
-              charge(Phase::kGpuGpuParamComm);
-            }
-            continue;
-          }
-          std::vector<float> w_i = fabric.recv(0, w, kPushTag);
-          charge(Phase::kGpuGpuParamComm);  // blocked on worker w's push
-          easgd_center_step(center, w_i, cfg.lr_at(t), cfg.rho);
-          fabric.advance(0, up_s);
-          charge(Phase::kCpuUpdate);
-          narrate_acc(fabric, 0, obs::proto::kCenterBuffer,
-                      obs::proto::kAccWrite);
-          fabric.send(0, w, kReplyTag, center);
-          charge(Phase::kGpuGpuParamComm);  // reply transmit
-        }
-        completed_sweeps = t;
-        obs::monitor::hook_step(0, fabric.clock(0), obs::monitor::kDeriveStep);
-        if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-          probes.push_back(Probe{t, fabric.clock(0), center});
-        }
-      }
-    } catch (const RankFailure& failure) {
-      any_failure.store(true);
-      {
-        const MutexLock lock(abort.mutex);
-        if (abort.reason.empty()) {
-          std::ostringstream os;
-          os << "sweep " << t << " aborted at master: " << failure.what();
-          abort.reason = os.str();
-        }
-      }
-      if (probes.empty() || probes.back().sweep < completed_sweeps) {
-        probes.push_back(Probe{completed_sweeps, fabric.clock(0), center});
-      }
-      obs::monitor::hook_failure(0, fabric.clock(0), failure.what());
-    }
-    final_center = center;
-    merge_ledger(local);
-    fabric.retire(0);
-  };
-
-  auto worker_main = [&](std::size_t rank) {
-    const RankClock rank_clock{&fabric, rank};
-    const obs::RankScope obs_rank(static_cast<std::int64_t>(rank),
-                                  &RankClock::read, &rank_clock);
-    DS_TRACE_SPAN("algo", "round_robin_worker");
-    CostLedger local;
-    double mark = fabric.clock(rank);
-    auto charge = [&](Phase phase) {
-      const double now = fabric.clock(rank);
-      if (now > mark) local.charge_traced(phase, now - mark, now);
-      mark = now;
-    };
-    try {
-      const std::unique_ptr<Network> net = ctx.factory();
-      copy(initial, net->arena().full_params());
-      BatchSampler sampler(*ctx.train, cfg.batch_size,
-                           cfg.seed * 69621 + rank);
-      Tensor batch;
-      std::vector<std::int32_t> labels;
-
-      // Bucketed producer: ship each bucket in flight as its last layer
-      // retires (DMA-model send rides under the remaining backward).
-      const Network::LayerReadyHook hook = [&](std::size_t layer) {
-        fabric.advance(rank, shares.bwd_secs[layer]);
-        const std::size_t b = plan.completes_at(layer);
-        if (b == BucketPlan::kNoBucket) return;
-        charge(Phase::kForwardBackward);
-        fabric.send_overlapped(
-            rank, 0, kPushTag,
-            bucket_push_payload(plan, b, net->arena().full_params()));
-        charge(Phase::kGpuGpuParamComm);
-      };
-
-      for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-        DS_TRACE_SPAN("algo", "interaction");
-        const double compute_begin = fabric.clock(rank);
-        sampler.next(batch, labels);
-        net->zero_grads();
-        if (bucketed) {
-          fabric.advance(rank, shares.fwd_s);
-          net->forward_backward(batch, labels, hook);
-          const double compute_end = fabric.clock(rank);
-          charge(Phase::kForwardBackward);
-          // Collect the POST-step center slices in retire order (single
-          // reply tag: the master's send order IS bucket order) and apply
-          // Eq. (1) slice by slice.
-          for (std::size_t b = 0; b < plan.bucket_count(); ++b) {
-            const std::vector<float> cs = fabric.recv(rank, 0, kReplyTag);
-            charge(Phase::kGpuGpuParamComm);
-            DS_CHECK(cs.size() == plan.bucket(b).params,
-                     "malformed bucket reply");
-            easgd_worker_step(
-                plan.slice(net->arena().full_params(), b),
-                plan.slice(std::span<const float>(net->arena().full_grads()),
-                           b),
-                cs, cfg.lr_at(t), cfg.rho);
-            fabric.advance(rank, up_s * bucket_frac(b));
-            charge(Phase::kGpuUpdate);
-          }
-          narrate_acc(fabric, rank, obs::proto::local_buffer(
-                                        static_cast<std::int64_t>(rank)),
-                      obs::proto::kAccWrite);
-          obs::monitor::hook_step(static_cast<std::int64_t>(rank),
-                                  fabric.clock(rank),
-                                  compute_end - compute_begin);
+  auto master_main = [&](Rank& r) {
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      const std::size_t t = r.round;
+      DS_TRACE_SPAN("algo", "sweep");
+      // Algorithm 1's loop: visit every worker in rank order. Matched
+      // receives make the schedule a constant of the configuration.
+      for (std::size_t w = 1; w <= run.workers; ++w) {
+        if (!bucketed) {
+          const std::vector<float> w_i = run.fabric.recv(0, w, kPushTag);
+          r.bill(Phase::kGpuGpuParamComm);  // blocked on worker w's push
+          serve_push(run, r, w, w_i, t, kReplyTag);
           continue;
         }
-        net->forward_backward(batch, labels);
-        fabric.advance(rank, fb_s);
-        const double compute_end = fabric.clock(rank);
-        charge(Phase::kForwardBackward);
-
-        // Push W_i, await the master's turn in the sweep.
-        std::vector<float> w_i(net->arena().full_params().begin(),
-                               net->arena().full_params().end());
-        fabric.send(rank, 0, kPushTag, std::move(w_i));
-        const std::vector<float> center = fabric.recv(rank, 0, kReplyTag);
-        charge(Phase::kGpuGpuParamComm);  // push + wait for our turn
-
-        easgd_worker_step(net->arena().full_params(),
-                          net->arena().full_grads(), center, cfg.lr_at(t),
-                          cfg.rho);
-        fabric.advance(rank, up_s);
-        charge(Phase::kGpuUpdate);
-        narrate_acc(fabric, rank, obs::proto::local_buffer(
-                                      static_cast<std::int64_t>(rank)),
-                    obs::proto::kAccWrite);
-        obs::monitor::hook_step(static_cast<std::int64_t>(rank),
-                                fabric.clock(rank),
-                                compute_end - compute_begin);
+        // Serve worker w's buckets in retire order (per-sender FIFO on the
+        // push tag delivers exactly that order): Eq. (2) per slice, reply
+        // the POST-step slice — the round-robin master always returns the
+        // fresh center.
+        for (std::size_t b = 0; b < bk.count(); ++b) {
+          const std::vector<float> push = run.fabric.recv(0, w, kPushTag);
+          r.bill(Phase::kGpuGpuParamComm);
+          DS_CHECK(push.size() == bk.plan.bucket(b).params + 1 &&
+                       static_cast<std::size_t>(push[0]) == b,
+                   "bucket push out of order");
+          const auto cs = bk.plan.slice(std::span<float>(run.center), b);
+          easgd_center_step(cs, std::span<const float>(push).subspan(1),
+                            cfg.lr_at(t), cfg.rho);
+          r.advance(run.up_s * bk.frac(b));
+          r.bill(Phase::kCpuUpdate);
+          r.wrote(obs::proto::center_slice_buffer(b));
+          run.fabric.send(0, w, kReplyTag,
+                          std::vector<float>(cs.begin(), cs.end()));
+          r.bill(Phase::kGpuGpuParamComm);
+        }
       }
-    } catch (const RankFailure& failure) {
-      // This worker crashed or the master is gone; drop out cleanly so the
-      // master's next matched recv on us raises kPeerGone and aborts the
-      // sweep instead of deadlocking.
-      obs::monitor::hook_failure(static_cast<std::int64_t>(rank),
-                                 fabric.clock(rank), failure.what());
+      run.round_done(t);
+      r.step_done(obs::monitor::kDeriveStep);
     }
-    merge_ledger(local);
-    fabric.retire(rank);
   };
 
-  parallel_for_threads(ranks, [&](std::size_t rank) {
-    if (rank == 0) {
-      master_main();
-    } else {
-      worker_main(rank);
+  auto worker_main = [&](Rank& r) {
+    if (!bucketed) {
+      push_pull_worker(run, r, kSeedMult, cfg.iterations, kPushTag,
+                       kReplyTag);
+      return;
     }
-  });
-  obs::monitor::hook_run_finalize(fabric.max_clock());
+    Replica rep(run, r, kSeedMult);
+    copy(run.initial, rep.params());
+    const Network::LayerReadyHook producer =
+        bucket_producer(r, bk, *rep.net, kPushTag);
+    for (r.round = 1; r.round <= cfg.iterations; ++r.round) {
+      DS_TRACE_SPAN("algo", "interaction");
+      const double compute_s = rep.compute(&bk, producer);
+      // Collect the POST-step center slices in retire order (single reply
+      // tag: the master's send order IS bucket order) and apply Eq. (1)
+      // slice by slice.
+      for (std::size_t b = 0; b < bk.count(); ++b) {
+        const std::vector<float> cs = run.fabric.recv(r.id, 0, kReplyTag);
+        r.bill(Phase::kGpuGpuParamComm);
+        rep.update_slice(bk, b, cs, cfg.lr_at(r.round));
+      }
+      r.wrote_replica();
+      r.step_done(compute_s);
+    }
+  };
 
-  RunResult res;
-  res.method = bucketed ? "Fabric Round-Robin EASGD (Algorithm 1, bucketed)"
-                        : "Fabric Round-Robin EASGD (Algorithm 1)";
-  res.workers = workers;
-  res.workers_survived = workers - count_failed(fabric);
-  res.aborted = any_failure.load();
-  {
-    // Ranks are joined, but the capability still travels with the member.
-    const MutexLock lock(abort.mutex);
-    res.abort_reason = abort.reason;
-  }
-  res.iterations = res.aborted ? completed_sweeps : cfg.iterations;
-  res.final_params = std::move(final_center);
-  Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
-  for (const Probe& probe : probes) {
-    TracePoint p = eval.evaluate_packed(probe.center);
-    p.iteration = probe.sweep;
-    p.vtime = probe.vtime;
-    res.trace.push_back(p);
-  }
-  res.total_seconds = fabric.max_clock();
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
-  {
-    const MutexLock lock(ledger_slot.mutex);
-    res.ledger = ledger_slot.merged;
-  }
-  apply_fabric_wire(res, wire_before);
-  return res;
+  return run.execute(
+      bucketed ? "Fabric Round-Robin EASGD (Algorithm 1, bucketed)"
+               : "Fabric Round-Robin EASGD (Algorithm 1)",
+      {"round_robin_master", master_main}, {"round_robin_worker", worker_main});
 }
 
 }  // namespace ds

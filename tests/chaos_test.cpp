@@ -357,7 +357,8 @@ TEST(ChaosFabricAsync, ServerKeepsServingSurvivorsAfterWorkerCrash) {
   EXPECT_FALSE(r.abort_reason.empty());
   EXPECT_FALSE(r.final_params.empty());
   ASSERT_FALSE(r.trace.empty());
-  EXPECT_LE(r.trace.back().iteration, r.iterations);
+  // The closing probe describes the center the run ends with.
+  EXPECT_EQ(r.trace.back().iteration, r.iterations);
 }
 
 // --------------------------------------------------------------------------
@@ -453,6 +454,46 @@ TEST(ChaosBucketed, MidBucketCrashAbortsCleanlyInBothModes) {
     EXPECT_EQ(r.workers_survived, 2u);
     EXPECT_GT(r.iterations, 0u);
     EXPECT_LT(r.iterations, f.ctx.config.iterations);
+    EXPECT_FALSE(r.final_params.empty());
+    ASSERT_FALSE(r.trace.empty());
+    EXPECT_EQ(r.trace.back().iteration, r.iterations);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Centered fabric runners: rank 0 is the server, center or master, not a
+// worker. Its crash aborts the run, but every worker rank unwinds and
+// retires cleanly, so no worker is counted lost.
+// --------------------------------------------------------------------------
+
+TEST(ChaosFabricCenter, CenterCrashAbortsWithoutLosingAWorker) {
+  Fixture f;
+  using Runner = RunResult (*)(const AlgoContext&, const FabricClusterConfig&);
+  const AlgoContext bucketed = bucketed_ctx(f, BucketMode::kDeterministic);
+  const struct {
+    const char* name;
+    Runner run;
+    const AlgoContext& ctx;
+  } cases[] = {
+      {"async", &run_fabric_async_easgd, f.ctx},
+      {"bucketed", &run_fabric_bucketed_easgd, bucketed},
+      {"round-robin", &run_fabric_round_robin_easgd, f.ctx},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    FabricClusterConfig cluster;
+    const RunResult clean = c.run(c.ctx, cluster);
+    ASSERT_FALSE(clean.aborted);
+
+    cluster.faults.with_crash(0, clean.total_seconds / 2.0);
+    cluster.faults.recv_poll_seconds = 2.0e-4;
+    const RunResult r = c.run(c.ctx, cluster);
+    EXPECT_TRUE(r.aborted);
+    EXPECT_TRUE(r.degraded());
+    EXPECT_FALSE(r.abort_reason.empty());
+    EXPECT_EQ(r.workers, 3u);
+    EXPECT_EQ(r.workers_survived, r.workers);
+    EXPECT_LT(r.iterations, c.ctx.config.iterations);
     EXPECT_FALSE(r.final_params.empty());
     ASSERT_FALSE(r.trace.empty());
     EXPECT_EQ(r.trace.back().iteration, r.iterations);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -158,35 +159,22 @@ std::map<std::int64_t, std::vector<VEvent>> virtual_sequences() {
   return by_rank;
 }
 
-TEST(Determinism, TracedFaultyRunsEmitIdenticalVirtualEventSequences) {
-  // Satellite of the obs subsystem: the trace itself must be deterministic
-  // in the virtual domain — same seed, same faults ⇒ the same per-rank
-  // sequence of virtual-time events (spans, drops, retransmit stamps),
-  // event for event. Wall times differ; virtual times must not.
-  Fixture f;
-  f.set_workers(4);
-  FabricClusterConfig cluster;
-  cluster.faults.with_drop(0.05).with_straggler(1, 2.0);
-  cluster.faults.max_send_attempts = 12;
+/// One traced run: the result and its per-rank virtual event sequences.
+std::pair<RunResult, std::map<std::int64_t, std::vector<VEvent>>> traced_run(
+    const std::function<RunResult()>& run) {
+  obs::set_tracing_enabled(false);
+  obs::reset();
+  obs::set_tracing_enabled(true);
+  const RunResult r = run();
+  auto seq = virtual_sequences();
+  obs::set_tracing_enabled(false);
+  obs::reset();
+  return std::make_pair(r, std::move(seq));
+}
 
-  auto traced_run = [&] {
-    obs::set_tracing_enabled(false);
-    obs::reset();
-    obs::set_tracing_enabled(true);
-    const RunResult r = run_fabric_easgd(f.ctx, cluster);
-    auto seq = virtual_sequences();
-    obs::set_tracing_enabled(false);
-    obs::reset();
-    return std::make_pair(r, std::move(seq));
-  };
-
-  const auto [ra, seq_a] = traced_run();
-  const auto [rb, seq_b] = traced_run();
-  expect_identical(ra, rb);
-  EXPECT_EQ(ra.messages_sent, rb.messages_sent);
-  EXPECT_EQ(ra.bytes_sent, rb.bytes_sent);
-  EXPECT_EQ(ra.retransmits, rb.retransmits);
-
+void expect_identical_sequences(
+    const std::map<std::int64_t, std::vector<VEvent>>& seq_a,
+    const std::map<std::int64_t, std::vector<VEvent>>& seq_b) {
   ASSERT_EQ(seq_a.size(), seq_b.size());
   for (const auto& [rank, events_a] : seq_a) {
     const auto it = seq_b.find(rank);
@@ -201,52 +189,63 @@ TEST(Determinism, TracedFaultyRunsEmitIdenticalVirtualEventSequences) {
     }
     EXPECT_FALSE(events_a.empty()) << "rank " << rank;
   }
-  EXPECT_EQ(obs::dropped_events(), 0u);
 }
 
-TEST(Determinism, BucketedDeterministicModeEmitsIdenticalEventSequences) {
-  // DESIGN.md §10: in deterministic mode the bucketed pipeline's entire
-  // message schedule — which bucket ships when, who is served first, every
-  // virtual-time stamp — is a pure function of (seed, config). Same-seed
-  // runs must emit the identical per-rank virtual event sequence, not just
-  // the same result.
+TEST(Determinism, TracedFaultyRunsEmitIdenticalVirtualEventSequences) {
+  // Satellite of the obs subsystem: the trace itself must be deterministic
+  // in the virtual domain — same seed, same faults ⇒ the same per-rank
+  // sequence of virtual-time events (spans, drops, retransmit stamps),
+  // event for event. Wall times differ; virtual times must not.
   Fixture f;
-  f.set_workers(3);
-  f.ctx.config.bucketing.bucket_bytes = 2048;  // tiny_mlp -> 2 buckets
-  f.ctx.config.bucketing.mode = BucketMode::kDeterministic;
-  const FabricClusterConfig cluster;
+  f.set_workers(4);
+  FabricClusterConfig cluster;
+  cluster.faults.with_drop(0.05).with_straggler(1, 2.0);
+  cluster.faults.max_send_attempts = 12;
 
-  auto traced_run = [&] {
-    obs::set_tracing_enabled(false);
-    obs::reset();
-    obs::set_tracing_enabled(true);
-    const RunResult r = run_fabric_bucketed_easgd(f.ctx, cluster);
-    auto seq = virtual_sequences();
-    obs::set_tracing_enabled(false);
-    obs::reset();
-    return std::make_pair(r, std::move(seq));
-  };
-
-  const auto [ra, seq_a] = traced_run();
-  const auto [rb, seq_b] = traced_run();
+  auto run = [&] { return run_fabric_easgd(f.ctx, cluster); };
+  const auto [ra, seq_a] = traced_run(run);
+  const auto [rb, seq_b] = traced_run(run);
   expect_identical(ra, rb);
   EXPECT_EQ(ra.messages_sent, rb.messages_sent);
   EXPECT_EQ(ra.bytes_sent, rb.bytes_sent);
+  EXPECT_EQ(ra.retransmits, rb.retransmits);
+  expect_identical_sequences(seq_a, seq_b);
+  EXPECT_EQ(obs::dropped_events(), 0u);
+}
 
-  ASSERT_EQ(seq_a.size(), seq_b.size());
-  ASSERT_EQ(seq_a.size(), 4u);  // center + 3 workers
-  for (const auto& [rank, events_a] : seq_a) {
-    const auto it = seq_b.find(rank);
-    ASSERT_NE(it, seq_b.end()) << "rank " << rank << " missing in rerun";
-    const auto& events_b = it->second;
-    ASSERT_EQ(events_a.size(), events_b.size()) << "rank " << rank;
-    for (std::size_t i = 0; i < events_a.size(); ++i) {
-      EXPECT_TRUE(events_a[i] == events_b[i])
-          << "rank " << rank << " event " << i << ": " << events_a[i].category
-          << "/" << events_a[i].name << " vt " << events_a[i].vtime << " vs "
-          << events_b[i].name << " vt " << events_b[i].vtime;
-    }
-    EXPECT_FALSE(events_a.empty()) << "rank " << rank;
+TEST(Determinism, CenteredFabricRunsEmitIdenticalEventSequences) {
+  // DESIGN.md §10: in deterministic mode the bucketed pipeline's entire
+  // message schedule — which bucket ships when, who is served first, every
+  // virtual-time stamp — is a pure function of (seed, config). So is
+  // Algorithm 1's fixed round-robin sweep over matched receives, plain or
+  // bucketed. Same-seed runs must emit the identical per-rank virtual event
+  // sequence, not just the same result.
+  using Runner = RunResult (*)(const AlgoContext&, const FabricClusterConfig&);
+  const struct {
+    const char* name;
+    Runner run;
+    std::size_t bucket_bytes;
+  } cases[] = {
+      {"bucketed deterministic", &run_fabric_bucketed_easgd, 2048},
+      {"round-robin", &run_fabric_round_robin_easgd, 0},
+      {"round-robin bucketed", &run_fabric_round_robin_easgd, 2048},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f;
+    f.set_workers(3);
+    f.ctx.config.bucketing.bucket_bytes = c.bucket_bytes;  // 2048 -> 2 buckets
+    f.ctx.config.bucketing.mode = BucketMode::kDeterministic;
+    const FabricClusterConfig cluster;
+
+    auto run = [&] { return c.run(f.ctx, cluster); };
+    const auto [ra, seq_a] = traced_run(run);
+    const auto [rb, seq_b] = traced_run(run);
+    expect_identical(ra, rb);
+    EXPECT_EQ(ra.messages_sent, rb.messages_sent);
+    EXPECT_EQ(ra.bytes_sent, rb.bytes_sent);
+    ASSERT_EQ(seq_a.size(), 4u);  // center + 3 workers
+    expect_identical_sequences(seq_a, seq_b);
   }
 }
 

@@ -152,5 +152,44 @@ TEST_F(ObsLedgerTest, FabricAsyncEasgdRollupMatchesLedger) {
   EXPECT_GT(r.messages_sent, 0u);
 }
 
+TEST_F(ObsLedgerTest, FabricBucketedDeterministicRollupMatchesLedger) {
+  Fixture f;
+  f.ctx.config.bucketing.bucket_bytes = 2048;  // tiny_mlp -> 2 buckets
+  f.ctx.config.bucketing.mode = BucketMode::kDeterministic;
+  const RunResult r = run_fabric_bucketed_easgd(f.ctx, FabricClusterConfig{});
+  ASSERT_GT(r.ledger.total_seconds(), 0.0);
+  expect_rollup_matches(r.ledger);
+  EXPECT_GT(r.messages_sent, 0u);
+}
+
+TEST_F(ObsLedgerTest, FabricBucketedWaitFreeRollupMatchesLedger) {
+  Fixture f;
+  f.ctx.config.bucketing.bucket_bytes = 2048;
+  f.ctx.config.bucketing.mode = BucketMode::kWaitFree;
+  const RunResult r = run_fabric_bucketed_easgd(f.ctx, FabricClusterConfig{});
+  ASSERT_GT(r.ledger.total_seconds(), 0.0);
+  expect_rollup_matches(r.ledger);
+  EXPECT_GT(r.messages_sent, 0u);
+}
+
+TEST_F(ObsLedgerTest, FabricRoundRobinRollupMatchesLedger) {
+  Fixture f;
+  const RunResult r =
+      run_fabric_round_robin_easgd(f.ctx, FabricClusterConfig{});
+  ASSERT_GT(r.ledger.total_seconds(), 0.0);
+  expect_rollup_matches(r.ledger);
+  EXPECT_GT(r.messages_sent, 0u);
+}
+
+TEST_F(ObsLedgerTest, FabricRoundRobinBucketedRollupMatchesLedger) {
+  Fixture f;
+  f.ctx.config.bucketing.bucket_bytes = 2048;
+  const RunResult r =
+      run_fabric_round_robin_easgd(f.ctx, FabricClusterConfig{});
+  ASSERT_GT(r.ledger.total_seconds(), 0.0);
+  expect_rollup_matches(r.ledger);
+  EXPECT_GT(r.messages_sent, 0u);
+}
+
 }  // namespace
 }  // namespace ds
