@@ -1,11 +1,12 @@
 #include "core/knl_algorithms.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "comm/collectives.hpp"
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
-#include "data/sampler.hpp"
+#include "core/replica_set.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -14,27 +15,13 @@
 namespace ds {
 namespace {
 
-struct NodeSet {
-  std::vector<std::unique_ptr<Network>> nets;
-  std::vector<BatchSampler> samplers;
-  Tensor batch;
-  std::vector<std::int32_t> labels;
-};
-
-NodeSet make_nodes(const AlgoContext& ctx, std::size_t count) {
-  NodeSet n;
-  n.nets.reserve(count);
-  n.samplers.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    n.nets.push_back(ctx.factory());
-    if (i > 0) n.nets[i]->copy_params_from(*n.nets[0]);
-    // Each node draws from its own local data copy with its own stream
-    // (Algorithm 4 line 10: "KNL_j randomly pick b samples from local
-    // memory").
-    n.samplers.emplace_back(*ctx.train, ctx.config.batch_size,
-                            ctx.config.seed * 15485863 + i);
-  }
-  return n;
+/// Each node draws from its own local data copy with its own stream
+/// (Algorithm 4 line 10: "KNL_j randomly pick b samples from local
+/// memory").
+ReplicaSet make_nodes(const AlgoContext& ctx, std::size_t count) {
+  const std::uint64_t seed = ctx.config.seed;
+  return ReplicaSet(ctx, count,
+                    [seed](std::size_t i) { return seed * 15485863 + i; });
 }
 
 }  // namespace
@@ -44,11 +31,11 @@ RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_cluster_sync_easgd");
-  NodeSet nodes = make_nodes(ctx, cfg.workers);
+  ReplicaSet nodes = make_nodes(ctx, cfg.workers);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
-  std::vector<float> center(nodes.nets[0]->arena().full_params().begin(),
-                            nodes.nets[0]->arena().full_params().end());
+  std::vector<float> center(nodes.net(0).arena().full_params().begin(),
+                            nodes.net(0).arena().full_params().end());
   std::vector<float> sum_w(center.size());
 
   RunResult res;
@@ -71,16 +58,14 @@ RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
 
   double vtime = 0.0;
   for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-    for (std::size_t j = 0; j < cfg.workers; ++j) {
-      nodes.samplers[j].next(nodes.batch, nodes.labels);
-      nodes.nets[j]->zero_grads();
-      nodes.nets[j]->forward_backward(nodes.batch, nodes.labels);
-    }
+    nodes.compute_gradients();
     views.clear();
-    for (auto& net : nodes.nets) views.push_back(net->arena().full_params());
+    for (const auto& net : nodes.nets()) {
+      views.push_back(net->arena().full_params());
+    }
     reduce_sum(views, sum_w);
     const float lr = cfg.lr_at(t);
-    for (auto& net : nodes.nets) {
+    for (const auto& net : nodes.nets()) {
       easgd_worker_step(net->arena().full_params(),
                         net->arena().full_grads(), center, lr, cfg.rho);
     }
@@ -110,6 +95,7 @@ RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
     res.final_accuracy = res.trace.back().accuracy;
     res.final_loss = res.trace.back().loss;
   }
+  res.final_params = std::move(center);
   // Tree broadcast + reduce over the nodes: workers-1 messages each way.
   res.messages_sent = 2 * (cfg.workers - 1) * cfg.iterations;
   res.bytes_sent = static_cast<std::uint64_t>(
@@ -129,7 +115,7 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_knl_partition");
   DS_CHECK(pcfg.parts > 0, "need at least one partition");
-  NodeSet parts = make_nodes(ctx, pcfg.parts);
+  ReplicaSet parts = make_nodes(ctx, pcfg.parts);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   KnlPartitionResult result;
@@ -150,7 +136,7 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
                                pcfg.data_copy_bytes) /
       1.0e9;
 
-  const std::size_t layer_count = parts.nets[0]->arena().layer_count();
+  const std::size_t layer_count = parts.net(0).arena().layer_count();
   std::vector<std::span<const float>> grad_views;
   std::vector<float> layer_sum;
   const float inv_parts = 1.0f / static_cast<float>(pcfg.parts);
@@ -161,24 +147,20 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
   double vtime = 0.0;
   for (std::size_t round = 1; round <= pcfg.max_rounds; ++round) {
     // Divide: every partition computes a gradient on its own batch.
-    for (std::size_t j = 0; j < pcfg.parts; ++j) {
-      parts.samplers[j].next(parts.batch, parts.labels);
-      parts.nets[j]->zero_grads();
-      parts.nets[j]->forward_backward(parts.batch, parts.labels);
-    }
+    parts.compute_gradients();
     // Conquer: tree-sum the gradients; every partition gets the sum and
     // updates its own weight copy (§6.2) — copies stay bit-identical.
     for (std::size_t l = 0; l < layer_count; ++l) {
-      const std::size_t n = parts.nets[0]->arena().layer_grads(l).size();
+      const std::size_t n = parts.net(0).arena().layer_grads(l).size();
       if (n == 0) continue;
       grad_views.clear();
-      for (auto& net : parts.nets) {
+      for (const auto& net : parts.nets()) {
         grad_views.push_back(net->arena().layer_grads(l));
       }
       layer_sum.resize(n);
       reduce_sum(grad_views, layer_sum);
       scale(inv_parts, layer_sum);
-      for (auto& net : parts.nets) {
+      for (const auto& net : parts.nets()) {
         copy(layer_sum, net->arena().layer_grads(l));
         sgd_step(net->arena().layer_params(l), net->arena().layer_grads(l),
                  cfg.lr_at(round) * lr_scale);
@@ -190,7 +172,7 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
                                     result.round_seconds, vtime);
 
     if (round % cfg.eval_every == 0 || round == pcfg.max_rounds) {
-      TracePoint p = eval.evaluate(parts.nets[0]->arena());
+      TracePoint p = eval.evaluate(parts.net(0).arena());
       p.iteration = round;
       p.vtime = vtime;
       result.run.trace.push_back(p);

@@ -7,7 +7,7 @@
 #include "comm/bucket.hpp"
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
-#include "data/sampler.hpp"
+#include "core/replica_set.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
@@ -31,36 +31,11 @@ void apply_modeled_wire(RunResult& res, double messages_per_iter,
   obs::metrics().counter(obs::names::kCommBytesModeled).add(res.bytes_sent);
 }
 
-/// Worker replicas: one network + one batch sampler per simulated device,
-/// all initialised to the same weights ("copy W to W_j", Algorithm 1).
-struct WorkerSet {
-  std::vector<std::unique_ptr<Network>> nets;
-  std::vector<BatchSampler> samplers;
-  Tensor batch;
-  std::vector<std::int32_t> labels;
-};
-
-WorkerSet make_workers(const AlgoContext& ctx) {
-  WorkerSet w;
-  const TrainConfig& cfg = ctx.config;
-  DS_CHECK(cfg.workers > 0, "need at least one worker");
-  w.nets.reserve(cfg.workers);
-  w.samplers.reserve(cfg.workers);
-  for (std::size_t i = 0; i < cfg.workers; ++i) {
-    w.nets.push_back(ctx.factory());
-    if (i > 0) w.nets[i]->copy_params_from(*w.nets[0]);
-    w.samplers.emplace_back(*ctx.train, cfg.batch_size,
-                            cfg.seed * 7919 + i + 1);
-  }
-  return w;
-}
-
-/// One gradient step's worth of real math on worker j: sample, zero grads,
-/// forward+backward.
-void compute_gradient(WorkerSet& w, std::size_t j) {
-  w.samplers[j].next(w.batch, w.labels);
-  w.nets[j]->zero_grads();
-  w.nets[j]->forward_backward(w.batch, w.labels);
+/// Worker replicas, batch samplers seeded per worker.
+ReplicaSet make_workers(const AlgoContext& ctx) {
+  const std::uint64_t seed = ctx.config.seed;
+  return ReplicaSet(ctx, ctx.config.workers,
+                    [seed](std::size_t i) { return seed * 7919 + i + 1; });
 }
 
 void record_point(RunResult& res, Evaluator& eval,
@@ -180,14 +155,14 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   // Modeled runs live on a single virtual timeline: rank 0.
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_original_easgd");
-  WorkerSet w = make_workers(ctx);
+  ReplicaSet w = make_workers(ctx);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   // Center weights live on the host (Algorithm 1 keeps W̄ CPU-side; the
   // multi-GPU variant pins it to GPU0 but every exchange still crosses the
   // host link in the baseline implementation).
-  std::vector<float> center(w.nets[0]->arena().full_params().begin(),
-                            w.nets[0]->arena().full_params().end());
+  std::vector<float> center(w.net(0).arena().full_params().begin(),
+                            w.net(0).arena().full_params().end());
   std::vector<float> worker_snapshot(center.size());
 
   RunResult res;
@@ -235,8 +210,8 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
       return res;
     }
 
-    compute_gradient(w, j);
-    Network& net = *w.nets[j];
+    w.compute_gradient(j);
+    Network& net = w.net(j);
     const float lr = cfg.lr_at(t);
     // "CPU gets W_j from j-th GPU" (line 12): snapshot pre-update weights.
     copy(net.arena().full_params(), worker_snapshot);
@@ -276,11 +251,11 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_sync_easgd");
-  WorkerSet w = make_workers(ctx);
+  ReplicaSet w = make_workers(ctx);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
-  std::vector<float> center(w.nets[0]->arena().full_params().begin(),
-                            w.nets[0]->arena().full_params().end());
+  std::vector<float> center(w.net(0).arena().full_params().begin(),
+                            w.net(0).arena().full_params().end());
   std::vector<float> sum_w(center.size());
 
   RunResult res;
@@ -345,7 +320,7 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
     const LinkModel& link =
         device_master ? hw.config().p2p_link : hw.config().host_link;
     bsched = plan_bucketed_comm(
-        *w.nets[0], cfg.bucketing.bucket_bytes, data_s, fb_s, fv.slow,
+        w.net(0), cfg.bucketing.bucket_bytes, data_s, fb_s, fv.slow,
         hw.model().weight_bytes, [&](double bytes) {
           return 2.0 * collective_seconds(cfg.reduce_algo, coll_ranks, bytes,
                                           link);
@@ -381,16 +356,18 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
       return res;
     }
     // Step (1): every worker computes its sub-gradient in parallel.
-    for (std::size_t j = 0; j < cfg.workers; ++j) compute_gradient(w, j);
+    w.compute_gradients();
 
     // Step (3): reduce Σ W_j^t (pre-update weights) to the master.
     param_views.clear();
-    for (auto& net : w.nets) param_views.push_back(net->arena().full_params());
+    for (const auto& net : w.nets()) {
+      param_views.push_back(net->arena().full_params());
+    }
     reduce_sum(param_views, sum_w);
 
     // Step (4): Eq. (1) on every worker against the broadcast W̄_t.
     const float lr = cfg.lr_at(t);
-    for (auto& net : w.nets) {
+    for (const auto& net : w.nets()) {
       easgd_worker_step(net->arena().full_params(),
                         net->arena().full_grads(), center, lr, cfg.rho);
     }
@@ -437,7 +414,7 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_sync_sgd");
-  WorkerSet w = make_workers(ctx);
+  ReplicaSet w = make_workers(ctx);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   RunResult res;
@@ -462,17 +439,17 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   // error-feedback residual is worker-local, as in Seide et al.).
   std::vector<OneBitCodec> onebit;
   if (cfg.compression == GradCompression::kOneBit) {
-    DS_CHECK(w.nets[0]->arena().mode() == PackMode::kPacked,
+    DS_CHECK(w.net(0).arena().mode() == PackMode::kPacked,
              "gradient compression requires the packed arena layout");
     onebit.reserve(cfg.workers);
     for (std::size_t j = 0; j < cfg.workers; ++j) {
-      onebit.emplace_back(w.nets[0]->param_count());
+      onebit.emplace_back(w.net(0).param_count());
     }
   }
   Int8Codec::Blob int8_blob;
   OneBitCodec::Blob onebit_blob;
 
-  const std::size_t layer_count = w.nets[0]->arena().layer_count();
+  const std::size_t layer_count = w.net(0).arena().layer_count();
   std::vector<std::span<const float>> grad_views;
   std::vector<float> layer_sum;
 
@@ -486,7 +463,7 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   BucketSchedule bsched;
   if (bucketed) {
     bsched = plan_bucketed_comm(
-        *w.nets[0], cfg.bucketing.bucket_bytes, data_s, fb_s, fv.slow,
+        w.net(0), cfg.bucketing.bucket_bytes, data_s, fb_s, fv.slow,
         hw.model().weight_bytes, [&](double bytes) {
           return 2.0 * collective_seconds(
                            cfg.reduce_algo, hw.gpus(),
@@ -516,32 +493,32 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   for (std::size_t t = 1; t <= cfg.iterations; ++t) {
     if (round_crashes(res, fv, vtime + iter_seconds, t)) {
       if (res.trace.empty() || res.trace.back().iteration != t - 1) {
-        TracePoint p = eval.evaluate(w.nets[0]->arena());
+        TracePoint p = eval.evaluate(w.net(0).arena());
         p.iteration = t - 1;
         p.vtime = vtime;
         res.trace.push_back(p);
       }
       finish(res, vtime, t - 1);
       apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
-      if (w.nets[0]->arena().mode() == PackMode::kPacked) {
-        const auto params = w.nets[0]->arena().full_params();
+      if (w.net(0).arena().mode() == PackMode::kPacked) {
+        const auto params = w.net(0).arena().full_params();
         res.final_params.assign(params.begin(), params.end());
       }
       return res;
     }
-    for (std::size_t j = 0; j < cfg.workers; ++j) compute_gradient(w, j);
+    w.compute_gradients();
 
     // Lossy wire round-trip of each worker's gradient BEFORE the reduction:
     // the training math sees exactly what the compressed link delivers.
     if (cfg.compression == GradCompression::kInt8) {
       for (std::size_t j = 0; j < cfg.workers; ++j) {
-        auto grads = w.nets[j]->arena().full_grads();
+        auto grads = w.net(j).arena().full_grads();
         Int8Codec::encode(grads, int8_blob);
         Int8Codec::decode(int8_blob, grads);
       }
     } else if (cfg.compression == GradCompression::kOneBit) {
       for (std::size_t j = 0; j < cfg.workers; ++j) {
-        auto grads = w.nets[j]->arena().full_grads();
+        auto grads = w.net(j).arena().full_grads();
         onebit[j].encode(grads, onebit_blob);
         OneBitCodec::decode(onebit_blob, grads);
       }
@@ -549,17 +526,21 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
 
     // Gradient allreduce, layer-aware so per-layer arenas work too.
     for (std::size_t l = 0; l < layer_count; ++l) {
-      const std::size_t n = w.nets[0]->arena().layer_grads(l).size();
+      const std::size_t n = w.net(0).arena().layer_grads(l).size();
       if (n == 0) continue;
       grad_views.clear();
-      for (auto& net : w.nets) grad_views.push_back(net->arena().layer_grads(l));
+      for (const auto& net : w.nets()) {
+        grad_views.push_back(net->arena().layer_grads(l));
+      }
       layer_sum.resize(n);
       reduce_sum(grad_views, layer_sum);
       scale(inv_workers, layer_sum);
-      for (auto& net : w.nets) copy(layer_sum, net->arena().layer_grads(l));
+      for (const auto& net : w.nets()) {
+        copy(layer_sum, net->arena().layer_grads(l));
+      }
     }
     const float lr = cfg.lr_at(t);
-    for (auto& net : w.nets) {
+    for (const auto& net : w.nets()) {
       for (std::size_t l = 0; l < layer_count; ++l) {
         sgd_step(net->arena().layer_params(l), net->arena().layer_grads(l),
                  lr);
@@ -586,7 +567,7 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
     vtime += iter_seconds;
 
     if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-      TracePoint p = eval.evaluate(w.nets[0]->arena());
+      TracePoint p = eval.evaluate(w.net(0).arena());
       p.iteration = t;
       p.vtime = vtime;
       res.trace.push_back(p);
@@ -595,8 +576,8 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   finish(res, vtime, cfg.iterations);
   apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
   // Per-layer arenas have no packed view; leave final_params empty there.
-  if (w.nets[0]->arena().mode() == PackMode::kPacked) {
-    const auto params = w.nets[0]->arena().full_params();
+  if (w.net(0).arena().mode() == PackMode::kPacked) {
+    const auto params = w.net(0).arena().full_params();
     res.final_params.assign(params.begin(), params.end());
   }
   return res;

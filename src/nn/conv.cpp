@@ -235,7 +235,7 @@ void Conv2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 // 180°-rotated, [C][F]-transposed weights — bitwise-deterministic like the
 // forward (whole-image / whole-filter sharding only).
 void Conv2D::backward_direct(const ConvGeom& g, const Tensor& x,
-                             const Tensor& dy, Tensor& dx) {
+                             const Tensor& dy, Tensor* dx) {
   const std::size_t batch = x.dim(0);
   const BlockedLayout xl = BlockedLayout::for_conv(g);
   BlockedLayout dyl = xl;
@@ -249,7 +249,7 @@ void Conv2D::backward_direct(const ConvGeom& g, const Tensor& x,
   float* dbias = grads_.data() + wfloats;
 
   AlignedBuffer& ws = scratch();
-  ws.ensure(ximg + dyimg + wfloats);
+  ws.ensure(ximg + dyimg + (dx ? wfloats : 0));
   float* xb = ws.data();
   float* dyb = ws.data() + ximg;
   float* wrot = ws.data() + ximg + dyimg;
@@ -258,22 +258,21 @@ void Conv2D::backward_direct(const ConvGeom& g, const Tensor& x,
   nchw_to_blocked(dyl, batch, dy.data(), dyb);
   direct_conv3x3_backward_weights(xl, batch, out_c_, xb, dyb, dweights,
                                   dbias);
+  if (!dx) return;
   // dX[c] = Σ_f dY[f] ⋆ rot180(W[f][c]) — the forward kernel with the
   // roles of filters/channels swapped; overwrites dx completely.
   rotate_conv3x3_weights(out_c_, in_c_, weights, wrot);
-  direct_conv3x3_forward(dyl, batch, in_c_, dyb, wrot, nullptr, dx.data());
+  direct_conv3x3_forward(dyl, batch, in_c_, dyb, wrot, nullptr, dx->data());
 }
 
 void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
-                              const Tensor& dy, Tensor& dx) {
-  dx.zero();
+                              const Tensor& dy, Tensor* dx) {
   const std::size_t batch = x.dim(0);
   const std::size_t rows = g.col_rows();
   const std::size_t cols = g.col_cols();
   const std::size_t bc = batch * cols;
   col_ws_.ensure(rows * bc);
   out_ws_.ensure(out_c_ * bc);
-  dcol_ws_.ensure(rows * bc);
 
   const float* weights = params_.data();
   float* dweights = grads_.data();  // out_c × rows
@@ -306,18 +305,19 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
        out_ws_.data(), bc, col_ws_.data(), bc, 1.0f, dweights, rows);
   // db += row sums of batched dY.
   add_row_sums(out_ws_.data(), out_c_, bc, dbias);
+  if (!dx) return;
   // dcol_b = Wᵀ · dY_b : [rows × out_c] · [out_c × batch·cols].
+  dcol_ws_.ensure(rows * bc);
   gemm(Transpose::kYes, Transpose::kNo, rows, bc, out_c_, 1.0f, weights, rows,
        out_ws_.data(), bc, 0.0f, dcol_ws_.data(), bc);
+  dx->zero();
   for (std::size_t n = 0; n < batch; ++n) {
-    col2im(g, dcol_ws_.data() + n * cols, bc, dx.data() + n * in_plane);
+    col2im(g, dcol_ws_.data() + n * cols, bc, dx->data() + n * in_plane);
   }
 }
 
-void Conv2D::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                      Tensor& dx) {
+void Conv2D::backward_into(const Tensor& x, const Tensor& dy, Tensor* dx) {
   const ConvGeom g = geom_for(x.shape());
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
   const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
   // Winograd trains with direct-kernel gradients (transform-free numerics,
   // see winograd.hpp); int8 quantizes the inference pass only — its
@@ -327,6 +327,17 @@ void Conv2D::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
   } else {
     backward_lowered(g, x, dy, dx);
   }
+}
+
+void Conv2D::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
+                      Tensor& dx) {
+  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  backward_into(x, dy, &dx);
+}
+
+void Conv2D::backward_params(const Tensor& x, const Tensor& /*y*/,
+                             const Tensor& dy, Tensor& /*scratch*/) {
+  backward_into(x, dy, nullptr);
 }
 
 double Conv2D::flops_per_sample(const Shape& input) const {

@@ -51,11 +51,9 @@ void FullyConnected::forward(const Tensor& x, Tensor& y, bool /*train*/) {
        weights, in_, 0.0f, y.data(), out_, ep);
 }
 
-void FullyConnected::backward(const Tensor& x, const Tensor& /*y*/,
-                              const Tensor& dy, Tensor& dx) {
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+void FullyConnected::backward_params(const Tensor& x, const Tensor& /*y*/,
+                                     const Tensor& dy, Tensor& /*scratch*/) {
   const std::size_t batch = x.dim(0);
-  const float* weights = params_.data();
   float* dweights = grads_.data();
   float* dbias = grads_.data() + out_ * in_;
   // dW += dYᵀ · X : [out × batch] · [batch × in]
@@ -65,9 +63,15 @@ void FullyConnected::backward(const Tensor& x, const Tensor& /*y*/,
   for (std::size_t n = 0; n < batch; ++n) {
     axpy(1.0f, {dy.data() + n * out_, out_}, {dbias, out_});
   }
+}
+
+void FullyConnected::backward(const Tensor& x, const Tensor& y,
+                              const Tensor& dy, Tensor& dx) {
+  backward_params(x, y, dy, dx);
+  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
   // dX = dY · W : [batch × out] · [out × in]
-  gemm(Transpose::kNo, Transpose::kNo, batch, in_, out_, 1.0f, dy.data(),
-       weights, 0.0f, dx.data());
+  gemm(Transpose::kNo, Transpose::kNo, x.dim(0), in_, out_, 1.0f, dy.data(),
+       params_.data(), 0.0f, dx.data());
 }
 
 double FullyConnected::flops_per_sample(const Shape& /*input*/) const {

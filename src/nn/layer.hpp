@@ -59,6 +59,15 @@ class Layer {
   virtual void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                         Tensor& dx) = 0;
 
+  /// backward() for a layer whose dL/dx nobody reads (a network's first
+  /// layer): only the parameter gradients must be accumulated, bit for bit
+  /// as backward() would. The default runs backward() into `scratch`;
+  /// layers whose input gradient is a separate pass skip that pass.
+  virtual void backward_params(const Tensor& x, const Tensor& y,
+                               const Tensor& dy, Tensor& scratch) {
+    backward(x, y, dy, scratch);
+  }
+
   /// Estimated flops for forward+backward of ONE sample with this input
   /// shape (spatial dims only; batch dim of `input` is ignored). Drives the
   /// virtual-time compute model.

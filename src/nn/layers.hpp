@@ -106,6 +106,8 @@ class Conv2D final : public Layer {
   void forward(const Tensor& x, Tensor& y, bool train) override;
   void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                 Tensor& dx) override;
+  void backward_params(const Tensor& x, const Tensor& y, const Tensor& dy,
+                       Tensor& scratch) override;
   double flops_per_sample(const Shape& input) const override;
 
   std::size_t in_channels() const { return in_c_; }
@@ -125,10 +127,12 @@ class Conv2D final : public Layer {
                        bool quantized);
   void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y,
                       bool winograd);
+  // dx == nullptr skips the input gradient (backward_params).
+  void backward_into(const Tensor& x, const Tensor& dy, Tensor* dx);
   void backward_direct(const ConvGeom& g, const Tensor& x, const Tensor& dy,
-                       Tensor& dx);
+                       Tensor* dx);
   void backward_lowered(const ConvGeom& g, const Tensor& x, const Tensor& dy,
-                        Tensor& dx);
+                        Tensor* dx);
 
   std::size_t in_c_;
   std::size_t out_c_;
@@ -240,6 +244,8 @@ class FullyConnected final : public Layer {
   void forward(const Tensor& x, Tensor& y, bool train) override;
   void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                 Tensor& dx) override;
+  void backward_params(const Tensor& x, const Tensor& y, const Tensor& dy,
+                       Tensor& scratch) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:

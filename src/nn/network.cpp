@@ -118,7 +118,13 @@ LossResult Network::forward_backward(const Tensor& batch,
     const Tensor& in = (i == 0) ? batch : acts_[i - 1];
     {
       const obs::SpanGuard span("layer", bwd_trace_name(i));
-      layers_[i]->backward(in, acts_[i], *grad, grads_cache_[i]);
+      // Nobody reads dL/d(batch): layer 0 accumulates its parameter
+      // gradients only.
+      if (i == 0) {
+        layers_[i]->backward_params(in, acts_[i], *grad, grads_cache_[i]);
+      } else {
+        layers_[i]->backward(in, acts_[i], *grad, grads_cache_[i]);
+      }
     }
     grad = &grads_cache_[i];
     // Layer i has retired: its arena gradient is final. The hook runs

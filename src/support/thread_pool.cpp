@@ -23,6 +23,24 @@ PoolMetrics& pool_metrics() {
   return m;
 }
 
+/// First exception captured across a batch of tasks, rethrown on the
+/// caller once every task has finished.
+struct FailureSlot {
+  Mutex mutex;
+  std::exception_ptr first DS_GUARDED_BY(mutex);
+
+  void capture() {
+    const MutexLock lock(mutex);
+    if (!first) first = std::current_exception();
+  }
+  void rethrow() {
+    // Every task has finished: the slot is quiescent and this thread holds
+    // the only reference, but the analysis still wants the capability held.
+    const MutexLock lock(mutex);
+    if (first) std::rethrow_exception(first);
+  }
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -60,10 +78,18 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
+  FailureSlot failure;
   for (std::size_t i = 0; i < n; ++i) {
-    submit([&fn, i] { fn(i); });
+    submit([&fn, &failure, i] {
+      try {
+        fn(i);
+      } catch (...) {
+        failure.capture();
+      }
+    });
   }
   wait_idle();
+  failure.rethrow();
 }
 
 void ThreadPool::worker_loop() {
@@ -102,25 +128,18 @@ void parallel_for_threads(std::size_t n,
                           const std::function<void(std::size_t)>& fn) {
   std::vector<std::thread> threads;
   threads.reserve(n);
-  struct FailureSlot {
-    Mutex mutex;
-    std::exception_ptr first DS_GUARDED_BY(mutex);
-  } failure;
+  FailureSlot failure;
   for (std::size_t i = 0; i < n; ++i) {
     threads.emplace_back([&, i] {
       try {
         fn(i);
       } catch (...) {
-        const MutexLock lock(failure.mutex);
-        if (!failure.first) failure.first = std::current_exception();
+        failure.capture();
       }
     });
   }
   for (auto& t : threads) t.join();
-  // All workers are joined: the slot is quiescent and this thread holds the
-  // only reference, but the analysis still wants the capability held.
-  const MutexLock lock(failure.mutex);
-  if (failure.first) std::rethrow_exception(failure.first);
+  failure.rethrow();
 }
 
 }  // namespace ds

@@ -14,7 +14,8 @@
 
 namespace ds {
 
-/// Simple FIFO thread pool. Tasks must not throw (exceptions terminate).
+/// Simple FIFO thread pool. A task handed to submit() must not throw
+/// (an escaping exception terminates); parallel_for catches its own.
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads);
@@ -32,7 +33,9 @@ class ThreadPool {
   /// Submit fn(0) … fn(n-1) and block until the pool drains. The partition
   /// of work across pool threads is whatever the FIFO hands out; callers
   /// needing determinism must make the n tasks independent (the compute
-  /// kernels do: each output tile is owned by exactly one task).
+  /// kernels do: each output tile is owned by exactly one task). If tasks
+  /// throw, the pool still drains and the first captured exception is
+  /// rethrown on the calling thread, as parallel_for_threads does.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   std::size_t size() const { return threads_.size(); }

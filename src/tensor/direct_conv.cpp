@@ -12,8 +12,10 @@ namespace {
 typedef float v16sf __attribute__((vector_size(64)));
 typedef float v16sf_u __attribute__((vector_size(64), aligned(4)));
 
-inline v16sf load_u(const float* p) {
-  return static_cast<v16sf>(*reinterpret_cast<const v16sf_u*>(p));
+// By-reference return: a by-value v16sf return trips -Wpsabi on builds
+// without 512-bit registers enabled (same workaround as gemm.cpp).
+inline const v16sf_u& load_u(const float* p) {
+  return *reinterpret_cast<const v16sf_u*>(p);
 }
 
 // Write `nw` lanes of acc (+ bias) to dst. The full-width case is one

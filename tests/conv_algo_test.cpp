@@ -208,6 +208,28 @@ TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
   }
 }
 
+// backward_params (a network's first layer) skips the dX pass; the
+// parameter gradients must match backward()'s bit for bit, including when
+// they accumulate over a second call.
+TEST_P(ConvAlgoDeterminismTest, BackwardParamsMatchesBackward) {
+  const ConvAlgo algo = GetParam();
+  Rng rng(0xBAC + static_cast<std::uint64_t>(algo));
+  const Tensor x = random_input(rng, 2, 3, 16, 16);
+  BoundConv full(3, 16, algo, 11);
+  BoundConv params_only(3, 16, algo, 11);
+  Tensor y, dx, scratch;
+  full.conv.forward(x, y, true);
+  const Tensor dy = random_input(rng, y.dim(0), y.dim(1), y.dim(2), y.dim(3));
+  for (int pass = 0; pass < 2; ++pass) {
+    full.conv.backward(x, y, dy, dx);
+    params_only.conv.forward(x, y, true);
+    params_only.conv.backward_params(x, y, dy, scratch);
+    ASSERT_EQ(0, std::memcmp(params_only.grads.data(), full.grads.data(),
+                             full.grads.size() * sizeof(float)))
+        << conv_algo_name(algo) << " dW/db, pass " << pass;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Algos, ConvAlgoDeterminismTest,
                          ::testing::Values(ConvAlgo::kIm2col,
                                            ConvAlgo::kDirect,

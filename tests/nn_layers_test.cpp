@@ -389,6 +389,28 @@ TEST(FullyConnectedLayer, BatchIndependence) {
   EXPECT_NEAR(y0[1], y_batch[1], 1e-6);
 }
 
+TEST(FullyConnectedLayer, BackwardParamsMatchesBackward) {
+  FullyConnected full(7, 5), params_only(7, 5);
+  std::vector<float> params(full.param_count());
+  std::vector<float> grads_full(params.size()), grads_params(params.size());
+  Rng rng(21);
+  for (auto& p : params) p = static_cast<float>(rng.uniform(-1, 1));
+  full.bind(params, grads_full);
+  params_only.bind(params, grads_params);
+  Tensor x({3, 7}), dy({3, 5});
+  fill_random(x, rng);
+  fill_random(dy, rng);
+  Tensor y, dx, scratch;
+  full.forward(x, y, true);
+  for (int pass = 0; pass < 2; ++pass) {  // gradients accumulate
+    full.backward(x, y, dy, dx);
+    params_only.backward_params(x, y, dy, scratch);
+    ASSERT_EQ(0, std::memcmp(grads_params.data(), grads_full.data(),
+                             grads_full.size() * sizeof(float)))
+        << "pass " << pass;
+  }
+}
+
 TEST(FullyConnectedLayer, XavierInitBounded) {
   FullyConnected fc(100, 50);
   std::vector<float> params(fc.param_count());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/easgd_rules.hpp"
 #include "data/dataset.hpp"
 #include "data/sampler.hpp"
@@ -255,6 +257,63 @@ TEST(Network, GradientsAccumulateAcrossCalls) {
   const auto twice = net->arena().full_grads();
   for (std::size_t i = 0; i < once.size(); ++i) {
     EXPECT_NEAR(twice[i], 2.0f * once[i], 1e-5f + std::fabs(once[i]) * 1e-3f);
+  }
+}
+
+// Layer 0's input gradient is skipped (nobody reads dL/d(batch)). A
+// leading Dropout(0), an exact identity, moves the same layers to index 1,
+// where they run the full backward: every parameter gradient must match.
+TEST(Network, FirstLayerSkipsInputGradientBitExactly) {
+  const auto conv_layers = [] {
+    std::vector<LayerPtr> l;
+    l.push_back(std::make_unique<Conv2D>(3, 8, 3, 1, 1));  // direct at 16x16
+    l.push_back(std::make_unique<ReLU>());
+    l.push_back(std::make_unique<MaxPool2D>(2, 2));
+    l.push_back(std::make_unique<Conv2D>(8, 8, 3, 1, 1));  // im2col at 8x8
+    l.push_back(std::make_unique<Flatten>());
+    l.push_back(std::make_unique<FullyConnected>(512, 10));
+    return l;
+  };
+  const auto dense_layers = [] {
+    std::vector<LayerPtr> l;
+    l.push_back(std::make_unique<FullyConnected>(48, 16));
+    l.push_back(std::make_unique<ReLU>());
+    l.push_back(std::make_unique<FullyConnected>(16, 10));
+    return l;
+  };
+  const auto build = [](Shape input, std::vector<LayerPtr> layers,
+                        bool identity_first) {
+    auto net = std::make_unique<Network>(std::move(input));
+    if (identity_first) net->add(std::make_unique<Dropout>(0.0));
+    for (auto& l : layers) net->add(std::move(l));
+    Rng rng(5);
+    net->finalize(rng);
+    return net;
+  };
+  const std::vector<std::int32_t> labels{1, 7, 3};
+  for (const bool conv : {true, false}) {
+    const Shape input = conv ? Shape{3, 16, 16} : Shape{48};
+    const auto layers = conv ? conv_layers : dense_layers;
+    auto skipped = build(input, layers(), false);
+    auto full = build(input, layers(), true);
+    std::vector<std::size_t> dims{3};
+    for (std::size_t i = 0; i < input.rank(); ++i) dims.push_back(input.dim(i));
+    Tensor x{Shape(dims)};
+    Rng rng(31);
+    fill_random(x, rng);
+    for (int pass = 0; pass < 2; ++pass) {  // gradients accumulate
+      skipped->forward_backward(x, labels);
+      full->forward_backward(x, labels);
+      for (std::size_t l = 0; l < skipped->layer_count(); ++l) {
+        const auto want = full->arena().layer_grads(l + 1);
+        const auto got = skipped->arena().layer_grads(l);
+        ASSERT_EQ(got.size(), want.size());
+        ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(float)))
+            << (conv ? "conv" : "dense") << " net, layer " << l << ", pass "
+            << pass;
+      }
+    }
   }
 }
 

@@ -55,7 +55,9 @@ TEST(ServeWorkload, PoissonMeanRateAndMonotoneTimes) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_GE(a[i], 0.0);
     ASSERT_LT(a[i], cfg.duration_s);
-    if (i > 0) ASSERT_GT(a[i], a[i - 1]);
+    if (i > 0) {
+      ASSERT_GT(a[i], a[i - 1]);
+    }
   }
 }
 

@@ -180,6 +180,22 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   SUCCEED();
 }
 
+TEST(ThreadPool, ParallelForRethrowsTaskErrorAndStaysUsable) {
+  ThreadPool pool(3);
+  std::atomic<int> ran{0};
+  EXPECT_THROW(pool.parallel_for(8,
+                                 [&](std::size_t i) {
+                                   ran.fetch_add(1);
+                                   DS_CHECK(i != 5, "task " << i << " failed");
+                                 }),
+               Error);
+  EXPECT_EQ(ran.load(), 8) << "the pool must drain every task before rethrowing";
+
+  std::vector<std::atomic<int>> hits(6);
+  pool.parallel_for(6, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(ThreadPool, ParallelForThreadsCoversIndices) {
   std::vector<std::atomic<int>> hits(8);
   parallel_for_threads(8, [&](std::size_t i) { hits[i].fetch_add(1); });
