@@ -1,48 +1,11 @@
-// Ablation — quantization at both ends of the pipeline (§3.4's deferred
-// future work, implemented here):
-//   * gradient compression on the wire — Sync SGD with fp32, int8, and
-//     error-feedback 1-bit gradients on identical data/model/hardware;
-//   * int8 COMPUTE — the quantized-GEMM conv kernel (ConvAlgo::kInt8),
-//     reported as measured end-to-end step time against the fp32 paths.
-#include <chrono>
+// Ablation — gradient compression on the wire (§3.4's deferred future
+// work, implemented here): Sync SGD with fp32, int8, and error-feedback
+// 1-bit gradients on identical data/model/hardware.
 #include <cstdio>
 #include <vector>
 
 #include "core/sync_algorithms.hpp"
-#include "tensor/conv_algo.hpp"
 #include "bench_util.hpp"
-
-namespace {
-
-/// Wall-clock mean forward+backward step of alexnet_s (batch 8) with the
-/// process conv dispatch pinned to `algo`; one warm-up step + `steps` timed.
-double alexnet_step_ms(ds::ConvAlgo algo, std::size_t steps) {
-  ds::set_process_conv_algo(algo);
-  ds::Rng rng(7);
-  auto net = ds::make_alexnet_s(rng);
-  ds::Tensor x({8, 3, 32, 32});
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    x[i] = static_cast<float>(rng.uniform(-1, 1));
-  }
-  std::vector<std::int32_t> labels(8);
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    labels[i] = static_cast<int>(i % 10);
-  }
-  net->zero_grads();
-  net->forward_backward(x, labels);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t s = 0; s < steps; ++s) {
-    net->zero_grads();
-    net->forward_backward(x, labels);
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  ds::set_process_conv_algo(ds::ConvAlgo::kAuto);
-  return 1e3 * seconds / static_cast<double>(steps);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto args = ds::bench::BenchArgs::parse(argc, argv);
@@ -80,27 +43,7 @@ int main(int argc, char** argv) {
       "with LeNet's small weights the\nlatency floor bounds the total-time "
       "win — exactly why §5.2 packs messages first.\n");
 
-  // --- int8 compute: quantized-GEMM conv forward, end to end ------------
-  const std::size_t steps = 6;
-  const double ms_im2col = alexnet_step_ms(ds::ConvAlgo::kIm2col, steps);
-  const double ms_auto = alexnet_step_ms(ds::ConvAlgo::kAuto, steps);
-  const double ms_int8 = alexnet_step_ms(ds::ConvAlgo::kInt8, steps);
-  std::printf(
-      "\nInt8 compute (alexnet_s, batch 8, measured wall clock, %zu "
-      "steps):\n"
-      "  fp32 im2col %8.3f ms/step\n"
-      "  fp32 auto   %8.3f ms/step (direct/Winograd dispatch)\n"
-      "  int8 gemm   %8.3f ms/step (%0.2fx vs fp32 im2col; backward stays "
-      "fp32)\n",
-      steps, ms_im2col, ms_auto, ms_int8, ms_im2col / ms_int8);
-
   ds::bench::Reporter reporter("ablation_quantization");
   args.describe(reporter);
-  reporter.metric("wall.alexnet_step_ms_fp32_im2col", ms_im2col,
-                  ds::bench::Better::kNone, "ms");
-  reporter.metric("wall.alexnet_step_ms_fp32_auto", ms_auto,
-                  ds::bench::Better::kNone, "ms");
-  reporter.metric("wall.alexnet_step_ms_int8", ms_int8,
-                  ds::bench::Better::kNone, "ms");
   return ds::bench::report_runs(args, reporter, runs);
 }

@@ -19,21 +19,21 @@
 #include "core/sync_algorithms.hpp"
 #include "obs/analysis/analysis.hpp"
 #include "obs/trace.hpp"
-#include "tensor/conv_algo.hpp"
+#include "tensor/gemm.hpp"
 #include "bench_util.hpp"
 
 namespace {
 
 /// Measured (wall-clock) forward+backward step time of `factory`'s network
-/// under a pinned process-wide conv algorithm, in milliseconds. Two warm-up
-/// steps, then the BEST of three `steps`-step windows — the minimum window
-/// rejects transient runner load, so the im2col/auto ratio built from two
-/// of these is stable enough for bench_compare to gate (see ci.yml's
-/// wall.* tolerance note).
+/// with this thread's conv algorithm pinned to `algo`, in milliseconds.
+/// Two warm-up steps, then the BEST of three `steps`-step windows — the
+/// minimum window rejects transient runner load, so the im2col/auto ratio
+/// built from two of these is stable enough for bench_compare to gate (see
+/// ci.yml's wall.* tolerance note).
 double measured_step_ms(const std::function<std::unique_ptr<ds::Network>()>&
                             factory,
                         ds::ConvAlgo algo, std::size_t steps) {
-  ds::set_process_conv_algo(algo);
+  ds::kernel_config().conv_algo = algo;
   auto net = factory();
   ds::Rng rng(11);
   ds::Tensor x({8, 3, 32, 32});
@@ -60,7 +60,7 @@ double measured_step_ms(const std::function<std::unique_ptr<ds::Network>()>&
             .count();
     if (window == 0 || seconds < best_seconds) best_seconds = seconds;
   }
-  ds::set_process_conv_algo(ds::ConvAlgo::kAuto);
+  ds::kernel_config().conv_algo = ds::ConvAlgo::kAuto;
   return 1e3 * best_seconds / static_cast<double>(steps);
 }
 
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   // The virtual-time rows above cost convolutions by flop count, so the
   // conv-algorithm dispatch cannot show up there; this section times real
   // forward+backward steps of the two 3×3-heavy model families with the
-  // dispatch pinned to im2col vs left on auto (direct/Winograd).
+  // dispatch pinned to im2col vs left on auto (direct where it wins).
   const std::size_t steps = 12;
   const auto alexnet_factory = [] {
     ds::Rng rng(7);

@@ -14,18 +14,6 @@ std::vector<LinkModel> table2_networks() {
   return {fdr_infiniband(), qdr_infiniband(), tengbe_neteffect()};
 }
 
-LinkModel pcie_gen3_x16() {
-  // ~12 GB/s effective host<->device bandwidth, ~5 µs per-transfer overhead
-  // (cudaMemcpy launch + DMA setup).
-  return {"PCIe 3.0 x16", 5.0e-6, 1.0 / 12.0e9};
-}
-
-LinkModel pcie_switch_p2p() {
-  // Peer-to-peer through the PLX switch: similar wire rate, slightly lower
-  // software latency than a host bounce.
-  return {"PCIe switch P2P", 4.0e-6, 1.0 / 10.0e9};
-}
-
 LinkModel cray_aries() {
   // Cori's Aries/Dragonfly: ~1.3 µs MPI latency, ~9 GB/s per-node injection.
   return {"Cray Aries", 1.3e-6, 1.0 / 9.0e9};

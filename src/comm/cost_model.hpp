@@ -37,15 +37,8 @@ LinkModel tengbe_neteffect();
 std::vector<LinkModel> table2_networks();
 
 // ---------------------------------------------------------------------------
-// Intra-node links used by the multi-GPU co-design (§6.1).
+// Cluster and KNL links used by the weak-scaling and node models.
 // ---------------------------------------------------------------------------
-
-/// Host↔device over PCIe 3.0 x16 (~12 GB/s effective, ~5 µs launch latency).
-LinkModel pcie_gen3_x16();
-
-/// Device↔device peer-to-peer through the PCIe switch (the paper's systems
-/// use 48/96-lane PLX switches; P2P avoids the host bounce).
-LinkModel pcie_switch_p2p();
 
 /// Cray Aries (Cori) inter-node link for the weak-scaling model.
 LinkModel cray_aries();

@@ -192,7 +192,7 @@ void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
   const double bytes = static_cast<double>(payload.size() * sizeof(float));
   const double base =
       link_.transfer_seconds(bytes) * faults_.straggler_for(src);
-  const double drop = faults_.drop_for(src, dst, ranks());
+  const double drop = faults_.drop_probability;
   const std::size_t attempts = std::max<std::size_t>(1, faults_.max_send_attempts);
 
   Rng& rng = slots_[src]->rng;  // owner-thread only: sends are rank-serial
@@ -289,8 +289,7 @@ void Fabric::send_overlapped(std::size_t src, std::size_t dst, int tag,
   const double wire = link_.beta * bytes * straggle;
 
   Rng* rng = faults_on_ ? &slots_[src]->rng : nullptr;
-  const double drop =
-      faults_on_ ? faults_.drop_for(src, dst, ranks()) : 0.0;
+  const double drop = faults_on_ ? faults_.drop_probability : 0.0;
   const std::size_t attempts =
       faults_on_ ? std::max<std::size_t>(1, faults_.max_send_attempts) : 1;
 

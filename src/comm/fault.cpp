@@ -7,22 +7,12 @@ namespace ds {
 bool FaultPlan::active() const {
   if (poll_recvs) return true;
   if (drop_probability > 0.0 || jitter > 0.0) return true;
-  if (std::any_of(link_drop.begin(), link_drop.end(),
-                  [](double p) { return p > 0.0; })) {
-    return true;
-  }
   if (std::any_of(straggler.begin(), straggler.end(),
                   [](double f) { return f != 1.0; })) {
     return true;
   }
   return std::any_of(crash_at.begin(), crash_at.end(),
                      [](double t) { return t != kNeverCrashes; });
-}
-
-double FaultPlan::drop_for(std::size_t src, std::size_t dst,
-                           std::size_t ranks) const {
-  if (link_drop.size() == ranks * ranks) return link_drop[src * ranks + dst];
-  return drop_probability;
 }
 
 double FaultPlan::straggler_for(std::size_t rank) const {
@@ -37,18 +27,6 @@ FaultPlan& FaultPlan::with_drop(double probability) {
   DS_CHECK(probability >= 0.0 && probability <= 1.0,
            "drop probability out of [0,1]");
   drop_probability = probability;
-  return *this;
-}
-
-FaultPlan& FaultPlan::with_link_drop(std::size_t src, std::size_t dst,
-                                     std::size_t ranks, double probability) {
-  DS_CHECK(src < ranks && dst < ranks, "link endpoint out of range");
-  DS_CHECK(probability >= 0.0 && probability <= 1.0,
-           "drop probability out of [0,1]");
-  if (link_drop.size() != ranks * ranks) {
-    link_drop.assign(ranks * ranks, drop_probability);
-  }
-  link_drop[src * ranks + dst] = probability;
   return *this;
 }
 

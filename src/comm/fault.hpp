@@ -61,12 +61,9 @@ struct FaultPlan {
   std::uint64_t seed = 0x5EEDFA17ULL;
 
   // --- message-level faults ------------------------------------------
-  /// Per-attempt probability that a message is dropped on the wire
-  /// (applies to every link unless link_drop overrides it).
+  /// Per-attempt probability that a message is dropped on the wire, on
+  /// every link.
   double drop_probability = 0.0;
-  /// Optional P×P row-major matrix of per-link drop probabilities
-  /// (entry src*P + dst). Empty = use drop_probability everywhere.
-  std::vector<double> link_drop;
   /// Uniform transfer-time inflation: each attempt costs
   /// transfer · (1 + jitter · u) with u ~ U[0,1). 0 = no jitter.
   double jitter = 0.0;
@@ -107,9 +104,6 @@ struct FaultPlan {
   /// pre-fault code paths (the zero-cost-when-disabled guarantee).
   bool active() const;
 
-  /// Drop probability of the (src → dst) link.
-  double drop_for(std::size_t src, std::size_t dst, std::size_t ranks) const;
-
   /// Straggler slowdown for `rank` (1.0 when unspecified).
   double straggler_for(std::size_t rank) const;
 
@@ -118,8 +112,6 @@ struct FaultPlan {
 
   // Fluent builders used by tests/benches.
   FaultPlan& with_drop(double probability);
-  FaultPlan& with_link_drop(std::size_t src, std::size_t dst,
-                            std::size_t ranks, double probability);
   FaultPlan& with_jitter(double fraction);
   FaultPlan& with_straggler(std::size_t rank, double factor);
   FaultPlan& with_crash(std::size_t rank, double virtual_time);

@@ -8,9 +8,7 @@
 #include "obs/trace.hpp"
 #include "tensor/direct_conv.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/gemm_int8.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/winograd.hpp"
 
 namespace ds {
 
@@ -30,8 +28,6 @@ struct ConvMetrics {
   obs::AccumDouble& flops = obs::metrics().accum(obs::names::kConvFlops);
   obs::Counter& im2col = obs::metrics().counter(obs::names::kConvIm2colCalls);
   obs::Counter& direct = obs::metrics().counter(obs::names::kConvDirectCalls);
-  obs::Counter& wino = obs::metrics().counter(obs::names::kConvWinogradCalls);
-  obs::Counter& int8 = obs::metrics().counter(obs::names::kConvInt8Calls);
 };
 
 void count_dispatch(ConvAlgo algo, double flops) {
@@ -44,12 +40,6 @@ void count_dispatch(ConvAlgo algo, double flops) {
       break;
     case ConvAlgo::kDirect:
       cm.direct.add();
-      break;
-    case ConvAlgo::kWinograd:
-      cm.wino.add();
-      break;
-    case ConvAlgo::kInt8:
-      cm.int8.add();
       break;
     case ConvAlgo::kAuto:
       break;  // resolve_conv_algo never returns kAuto
@@ -124,11 +114,9 @@ void Conv2D::init_params(Rng& rng) {
   for (std::size_t i = w; i < params_.size(); ++i) params_[i] = 0.0f;
 }
 
-// im2col lowering path, fp32 (quantized=false) or int8 (quantized=true).
-// Either way col_ws_ ends up holding this input's fp32 column matrix, which
-// backward_lowered reuses for the dW GEMM.
-void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y,
-                             bool quantized) {
+// im2col lowering path. col_ws_ ends up holding this input's column
+// matrix, which backward_lowered reuses for the dW GEMM.
+void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y) {
   const std::size_t batch = x.dim(0);
   const std::size_t rows = g.col_rows();
   const std::size_t cols = g.col_cols();
@@ -149,27 +137,12 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y,
   col_geom_ = g;
   col_batch_ = batch;
   col_valid_ = true;
-  if (!quantized) {
-    // … so the layer is one GEMM, [out_c × rows] · [rows × batch·cols],
-    // with the per-channel bias fused into the C write-back epilogue.
-    GemmEpilogue ep;
-    ep.row_bias = bias;
-    gemm(Transpose::kNo, Transpose::kNo, out_c_, bc, rows, 1.0f, weights,
-         rows, col_ws_.data(), bc, 0.0f, out_ws_.data(), bc, ep);
-  } else {
-    // Int8: quantize weights and columns with the wire codec's affine
-    // min/step encoding, run the exact-integer GEMM, dequantize in the
-    // epilogue. k = rows is capped by the int32-accumulator bound.
-    DS_CHECK(rows <= kGemmU8MaxK,
-             name() << ": receptive field too deep for int8 GEMM");
-    Int8Codec::encode(std::span<const float>(weights, out_c_ * rows),
-                      wq_blob_);
-    Int8Codec::encode(std::span<const float>(col_ws_.data(), rows * bc),
-                      xq_blob_);
-    gemm_u8(out_c_, bc, rows, wq_blob_.data.data(), wq_blob_.min,
-            wq_blob_.step, xq_blob_.data.data(), bc, xq_blob_.min,
-            xq_blob_.step, out_ws_.data(), bc, bias);
-  }
+  // … so the layer is one GEMM, [out_c × rows] · [rows × batch·cols],
+  // with the per-channel bias fused into the C write-back epilogue.
+  GemmEpilogue ep;
+  ep.row_bias = bias;
+  gemm(Transpose::kNo, Transpose::kNo, out_c_, bc, rows, 1.0f, weights, rows,
+       col_ws_.data(), bc, 0.0f, out_ws_.data(), bc, ep);
   // Un-batch [out_c × batch·cols] into the NCHW output.
   for (std::size_t n = 0; n < batch; ++n) {
     float* yn = y.data() + n * out_plane;
@@ -180,9 +153,8 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y,
   }
 }
 
-// Direct / Winograd forward over the blocked activation layout.
-void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y,
-                            bool winograd) {
+// Direct forward over the blocked activation layout.
+void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
   const std::size_t batch = x.dim(0);
   const BlockedLayout bl = BlockedLayout::for_conv(g);
   const std::size_t ximg = batch * bl.image_floats();
@@ -190,17 +162,10 @@ void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y,
   const float* bias = params_.data() + out_c_ * in_c_ * 9;
 
   AlignedBuffer& ws = scratch();
-  const std::size_t wino_floats =
-      winograd ? winograd_scratch_floats(bl, batch, out_c_) : 0;
-  ws.ensure(ximg + wino_floats);
+  ws.ensure(ximg);
   nchw_to_blocked(bl, batch, x.data(), ws.data());
-  if (winograd) {
-    winograd_conv3x3_forward(bl, batch, out_c_, ws.data(), weights, bias,
-                             y.data(), ws.data() + ximg);
-  } else {
-    direct_conv3x3_forward(bl, batch, out_c_, ws.data(), weights, bias,
-                           y.data());
-  }
+  direct_conv3x3_forward(bl, batch, out_c_, ws.data(), weights, bias,
+                         y.data());
 }
 
 void Conv2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
@@ -212,18 +177,11 @@ void Conv2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
                  gemm_flops(out_c_, x.dim(0) * g.col_cols(), g.col_rows()));
   switch (algo) {
     case ConvAlgo::kIm2col:
-      forward_lowered(g, x, y, /*quantized=*/false);
-      break;
-    case ConvAlgo::kInt8:
-      forward_lowered(g, x, y, /*quantized=*/true);
+      forward_lowered(g, x, y);
       break;
     case ConvAlgo::kDirect:
       col_valid_ = false;
-      forward_direct(g, x, y, /*winograd=*/false);
-      break;
-    case ConvAlgo::kWinograd:
-      col_valid_ = false;
-      forward_direct(g, x, y, /*winograd=*/true);
+      forward_direct(g, x, y);
       break;
     case ConvAlgo::kAuto:
       DS_CHECK(false, "resolve_conv_algo returned kAuto");
@@ -319,10 +277,7 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
 void Conv2D::backward_into(const Tensor& x, const Tensor& dy, Tensor* dx) {
   const ConvGeom g = geom_for(x.shape());
   const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
-  // Winograd trains with direct-kernel gradients (transform-free numerics,
-  // see winograd.hpp); int8 quantizes the inference pass only — its
-  // backward stays fp32 lowering.
-  if (algo == ConvAlgo::kDirect || algo == ConvAlgo::kWinograd) {
+  if (algo == ConvAlgo::kDirect) {
     backward_direct(g, x, dy, dx);
   } else {
     backward_lowered(g, x, dy, dx);

@@ -40,12 +40,12 @@ class Layer {
   }
 
   /// Attach an arena-owned, grow-only kernel scratch buffer (blocked
-  /// activation layouts, Winograd tile buffers). Called by
-  /// Network::finalize after bind(); layers that need scratch but were
-  /// never offered any (standalone use, tests) fall back to a private
-  /// buffer. Composite layers forward the same buffer to their inner
-  /// layers — each conv call partitions it afresh, so sharing is safe as
-  /// long as no single forward()/backward() call is re-entered.
+  /// activation layouts, rotated weights). Called by Network::finalize
+  /// after bind(); layers that need scratch but were never offered any
+  /// (standalone use, tests) fall back to a private buffer. Composite
+  /// layers forward the same buffer to their inner layers — each conv call
+  /// partitions it afresh, so sharing is safe as long as no single
+  /// forward()/backward() call is re-entered.
   virtual void bind_scratch(AlignedBuffer& /*scratch*/) {}
 
   /// Initialise bound parameters (Xavier for weights, zero for biases).

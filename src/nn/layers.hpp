@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "comm/quantize.hpp"
 #include "nn/layer.hpp"
 #include "support/aligned_buffer.hpp"
 #include "tensor/conv_algo.hpp"
@@ -87,11 +86,10 @@ class Dropout final : public Layer {
 
 /// 2-D convolution. Parameters are [out_c × in_c × k × k] filter weights
 /// followed by [out_c] biases. Each forward/backward dispatches over one of
-/// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering,
-/// register-blocked direct 3×3, Winograd F(2×2,3×3), or int8 quantized
-/// GEMM — resolved per call through layer algo → kernel_config().conv_algo
-/// → process default → shape heuristic, with im2col the universal
-/// fallback. All paths are bitwise-deterministic under gemm_threads > 1.
+/// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering or
+/// register-blocked direct 3×3 — resolved per call through layer algo →
+/// kernel_config().conv_algo → shape heuristic, with im2col the universal
+/// fallback. Both paths are bitwise-deterministic under gemm_threads > 1.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -123,10 +121,8 @@ class Conv2D final : public Layer {
   ConvGeom geom_for(const Shape& input) const;
   AlignedBuffer& scratch() { return scratch_ ? *scratch_ : own_scratch_; }
 
-  void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y,
-                       bool quantized);
-  void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y,
-                      bool winograd);
+  void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y);
+  void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y);
   // dx == nullptr skips the input gradient (backward_params).
   void backward_into(const Tensor& x, const Tensor& dy, Tensor* dx);
   void backward_direct(const ConvGeom& g, const Tensor& x, const Tensor& dy,
@@ -154,14 +150,11 @@ class Conv2D final : public Layer {
   ConvGeom col_geom_{};
   std::size_t col_batch_ = 0;
   bool col_valid_ = false;
-  // Arena-owned kernel scratch for the blocked/Winograd/rotated-weight
-  // buffers (falls back to a private buffer when the layer is used outside
-  // a finalized Network).
+  // Arena-owned kernel scratch for the blocked/rotated-weight buffers
+  // (falls back to a private buffer when the layer is used outside a
+  // finalized Network).
   AlignedBuffer* scratch_ = nullptr;
   AlignedBuffer own_scratch_;
-  // Int8 path: quantized weights / columns, reused across calls.
-  Int8Codec::Blob wq_blob_;
-  Int8Codec::Blob xq_blob_;
 };
 
 /// Max pooling over k×k windows; optional zero-area padding (padded taps are

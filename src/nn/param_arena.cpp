@@ -143,11 +143,4 @@ void ParamArena::copy_params_from(const ParamArena& other) {
   }
 }
 
-void ParamArena::copy_grads_from(const ParamArena& other) {
-  DS_CHECK(other.sizes_ == sizes_, "arena geometry mismatch");
-  for (std::size_t l = 0; l < sizes_.size(); ++l) {
-    copy(other.layer_grads(l), layer_grads(l));
-  }
-}
-
 }  // namespace ds

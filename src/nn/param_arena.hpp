@@ -27,13 +27,13 @@ namespace ds {
 enum class PackMode { kPacked, kPerLayer };
 
 // ---------------------------------------------------------------------------
-// NCHW ↔ blocked layout transforms (the enabling refactor for the direct /
-// Winograd convolution kernels — see tensor/direct_conv.hpp for the layout).
+// NCHW ↔ blocked layout transforms (the enabling refactor for the direct
+// convolution kernels — see tensor/direct_conv.hpp for the layout).
 //
 // Contract: nchw_to_blocked writes EVERY float of the destination — the
-// real values, the zero pad border, the lane slack, and the slack row — so
-// a grow-only arena scratch never leaks stale data into a kernel, and the
-// kernels never branch at an edge. blocked_to_nchw is its exact inverse
+// real values, the zero pad border and the lane slack — so a grow-only
+// arena scratch never leaks stale data into a kernel, and the kernels never
+// branch at an edge. blocked_to_nchw is its exact inverse
 // over the interior. Both stream row-by-row in address order (hardware-
 // prefetch friendly) with explicit software prefetch of the next source
 // row.
@@ -71,10 +71,10 @@ class ParamArena {
   std::span<const float> full_params() const;
   std::span<const float> full_grads() const;
 
-  /// Grow-only per-layer kernel scratch (blocked activations, Winograd
-  /// tile buffers, rotated weights). Deliberately OUTSIDE the packed
-  /// params/grads allocations: scratch is never communicated, so it must
-  /// not dilute the single-message contiguity contract. Buffers start
+  /// Grow-only per-layer kernel scratch (blocked activations, rotated
+  /// weights). Deliberately OUTSIDE the packed params/grads allocations:
+  /// scratch is never communicated, so it must not dilute the
+  /// single-message contiguity contract. Buffers start
   /// empty and grow on first use (AlignedBuffer::ensure).
   AlignedBuffer& layer_scratch(std::size_t layer);
 
@@ -84,9 +84,6 @@ class ParamArena {
   /// Copy all parameter values from another arena of identical geometry
   /// (works across pack modes).
   void copy_params_from(const ParamArena& other);
-
-  /// Copy all gradient values from another arena of identical geometry.
-  void copy_grads_from(const ParamArena& other);
 
  private:
   PackMode mode_ = PackMode::kPacked;

@@ -212,8 +212,6 @@ inline constexpr const char* kConvCalls = "conv.calls";
 inline constexpr const char* kConvFlops = "conv.flops";
 inline constexpr const char* kConvIm2colCalls = "conv.im2col.calls";
 inline constexpr const char* kConvDirectCalls = "conv.direct.calls";
-inline constexpr const char* kConvWinogradCalls = "conv.winograd.calls";
-inline constexpr const char* kConvInt8Calls = "conv.int8.calls";
 inline constexpr const char* kIm2colBytes = "im2col.bytes";
 inline constexpr const char* kCol2imBytes = "col2im.bytes";
 // Serving front-end (src/serve): request lifecycle counters, the log2

@@ -55,7 +55,6 @@ class Batcher {
 
   std::size_t depth() const { return queue_.size(); }
   bool empty() const { return queue_.empty(); }
-  double oldest_arrival() const { return queue_.front().arrival; }
 
   /// True when a batch should leave NOW (given a free replica): the size
   /// rule or the delay rule fires.

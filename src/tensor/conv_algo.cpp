@@ -1,16 +1,9 @@
 #include "tensor/conv_algo.hpp"
 
-#include <atomic>
-
 #include "tensor/direct_conv.hpp"
 #include "tensor/gemm.hpp"
 
 namespace ds {
-namespace {
-
-std::atomic<ConvAlgo> g_process_conv_algo{ConvAlgo::kAuto};
-
-}  // namespace
 
 const char* conv_algo_name(ConvAlgo a) {
   switch (a) {
@@ -20,30 +13,16 @@ const char* conv_algo_name(ConvAlgo a) {
       return "im2col";
     case ConvAlgo::kDirect:
       return "direct";
-    case ConvAlgo::kWinograd:
-      return "winograd";
-    case ConvAlgo::kInt8:
-      return "int8";
   }
   return "unknown";
-}
-
-void set_process_conv_algo(ConvAlgo a) {
-  g_process_conv_algo.store(a, std::memory_order_relaxed);
-}
-
-ConvAlgo process_conv_algo() {
-  return g_process_conv_algo.load(std::memory_order_relaxed);
 }
 
 bool conv_algo_supported(ConvAlgo a, const ConvGeom& g) {
   switch (a) {
     case ConvAlgo::kDirect:
-    case ConvAlgo::kWinograd:
       return direct_conv_supported(g);
     case ConvAlgo::kAuto:
     case ConvAlgo::kIm2col:
-    case ConvAlgo::kInt8:
       return true;
   }
   return false;
@@ -57,10 +36,7 @@ ConvAlgo choose_conv_algo(const ConvGeom& g, std::size_t out_channels) {
   // once a row fills most of a v16sf lane (16×16 and 32×32 planes), but at
   // 8×8 the blocked layout's slack (an 8-float row padded to 32, a 5.5×
   // size inflation) plus half-empty vector ops hand the win back to the
-  // batched lowering. Winograd never auto-selects: at this zoo's channel
-  // depths its tile-transform traffic outweighs the 2.25× multiply saving
-  // — it trails even im2col. Both stay opt-in (per-layer / kernel_config /
-  // process knobs).
+  // batched lowering.
   if (g.height < 12 || g.width < 12) return ConvAlgo::kIm2col;
   return ConvAlgo::kDirect;
 }
@@ -69,7 +45,6 @@ ConvAlgo resolve_conv_algo(ConvAlgo layer_algo, const ConvGeom& g,
                            std::size_t out_channels) {
   ConvAlgo a = layer_algo;
   if (a == ConvAlgo::kAuto) a = kernel_config().conv_algo;
-  if (a == ConvAlgo::kAuto) a = process_conv_algo();
   if (a == ConvAlgo::kAuto) a = choose_conv_algo(g, out_channels);
   if (!conv_algo_supported(a, g)) a = ConvAlgo::kIm2col;
   return a;

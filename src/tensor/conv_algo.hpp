@@ -1,6 +1,6 @@
 // Convolution algorithm selection (ROADMAP item 4: beat im2col).
 //
-// Conv2D dispatches each forward/backward over one of four kernels:
+// Conv2D dispatches each forward/backward over one of two kernels:
 //
 //   kIm2col   — lower to a column matrix, one fat GEMM per layer (PR 2's
 //               batched lowering). Works for every kernel/stride/pad; pays
@@ -9,20 +9,13 @@
 //               activation layout (direct_conv.hpp), 3×3/stride-1/pad-1
 //               family only. No lowering traffic; forward and both backward
 //               passes.
-//   kWinograd — Winograd F(2×2,3×3) (winograd.hpp): 2.25× fewer multiplies
-//               than direct for the same family. Forward only; backward
-//               runs the direct kernels (same family gate).
-//   kInt8     — im2col lowering + 8-bit quantized GEMM (gemm_int8.hpp) with
-//               the scale/zero-point machinery of comm/quantize. Forward
-//               only (quantized training quantizes the inference pass);
-//               backward stays fp32 im2col. Any shape.
 //
-// kAuto resolves through three levels, most specific wins:
+// kAuto resolves through two levels, most specific wins:
 //   per-layer  Conv2D(..., algo)            — explicit per-layer choice
-//   per-thread kernel_config().conv_algo    — benches, property tests
-//   process    set_process_conv_algo()      — whole-run ablations (reaches
-//              worker threads, unlike the thread-local knob)
-// and finally the shape heuristic choose_conv_algo(). Every kernel is
+//   per-thread kernel_config().conv_algo    — benches, property tests (a
+//              ReplicaSet copies the caller's KernelConfig into its worker
+//              tasks, so this reaches the modeled workers too)
+// and finally the shape heuristic choose_conv_algo(). Both kernels are
 // bitwise-deterministic under kernel_config().gemm_threads > 1, like the
 // packed GEMM (DESIGN.md §7): parallel partitions never change any
 // output's reduction order.
@@ -34,30 +27,20 @@ namespace ds {
 
 struct ConvGeom;
 
-enum class ConvAlgo { kAuto, kIm2col, kDirect, kWinograd, kInt8 };
+enum class ConvAlgo { kAuto, kIm2col, kDirect };
 
 const char* conv_algo_name(ConvAlgo a);
 
-/// Process-wide default consulted when both the layer and the calling
-/// thread say kAuto. Setting it to kAuto (the initial value) defers to the
-/// shape heuristic. Relaxed atomic underneath — safe to flip between runs,
-/// not intended to be raced against a running forward pass.
-void set_process_conv_algo(ConvAlgo a);
-ConvAlgo process_conv_algo();
-
-/// True when `a` can run this geometry at all (kDirect/kWinograd gate on
-/// the 3×3/stride-1/pad-1 family; kIm2col/kInt8 take everything).
+/// True when `a` can run this geometry at all (kDirect gates on the
+/// 3×3/stride-1/pad-1 family; kIm2col takes everything).
 bool conv_algo_supported(ConvAlgo a, const ConvGeom& g);
 
-/// The kAuto shape heuristic: direct for the 3×3/stride-1/pad-1 family,
-/// im2col for everything else. Winograd never auto-selects — at this model
-/// zoo's channel depths its tile-transform traffic outweighs the 2.25×
-/// multiply saving (measured in micro_kernels) — and kInt8 never does
-/// either: lossy kernels are opt-in only.
+/// The kAuto shape heuristic: direct for the 3×3/stride-1/pad-1 family at
+/// planes of 12×12 and up, im2col for everything else.
 ConvAlgo choose_conv_algo(const ConvGeom& g, std::size_t out_channels);
 
-/// Fully resolve: layer choice → thread choice → process choice →
-/// heuristic, then fall back to kIm2col if the pick cannot run `g`.
+/// Fully resolve: layer choice → thread choice → heuristic, then fall back
+/// to kIm2col if the pick cannot run `g`.
 ConvAlgo resolve_conv_algo(ConvAlgo layer_algo, const ConvGeom& g,
                            std::size_t out_channels);
 

@@ -39,16 +39,15 @@ inline constexpr std::size_t kConvLanes = 16;
 /// Geometry of one image in the blocked activation layout: the NCHW plane
 /// grown by a `pad`-wide zero border, rows padded to a kConvLanes multiple
 /// with ≥ kConvLanes floats of zero slack (so 16-wide unaligned loads can
-/// slide past the right edge without branches) plus one zero slack row
-/// (so Winograd's 4×4 tiles can overhang odd heights). Rows are 64-byte
-/// aligned whenever the base pointer is.
+/// slide past the right edge without branches). Rows are 64-byte aligned
+/// whenever the base pointer is.
 struct BlockedLayout {
   std::size_t channels = 0;
   std::size_t height = 0;
   std::size_t width = 0;
   std::size_t pad = 0;
 
-  std::size_t rows() const { return height + 2 * pad + 1; }
+  std::size_t rows() const { return height + 2 * pad; }
   std::size_t row_floats() const {
     const std::size_t need = width + 2 * pad + kConvLanes;
     return (need + kConvLanes - 1) / kConvLanes * kConvLanes;
@@ -56,7 +55,7 @@ struct BlockedLayout {
   std::size_t plane_floats() const { return rows() * row_floats(); }
   std::size_t image_floats() const { return channels * plane_floats(); }
 
-  /// The layout the direct/Winograd kernels want for this conv's input.
+  /// The layout the direct kernels want for this conv's input.
   static BlockedLayout for_conv(const ConvGeom& g) {
     return BlockedLayout{g.channels, g.height, g.width, g.pad};
   }

@@ -64,7 +64,7 @@ struct KernelConfig {
   std::size_t gemm_threads = 1;
   /// Convolution kernel override for Conv2D layers whose own algo is kAuto
   /// (benches and property tests flip this to pin a path). kAuto defers to
-  /// the process-wide default, then the shape heuristic — see conv_algo.hpp.
+  /// the shape heuristic — see conv_algo.hpp.
   ConvAlgo conv_algo = ConvAlgo::kAuto;
 };
 

@@ -2,10 +2,10 @@
 //
 // The packed GEMM's threaded path owns a lazily-grown ThreadPool guarded by
 // a mutex (concurrent threaded kernels serialize on it; each still runs
-// parallel inside). The direct/Winograd convolution kernels need the same
-// machinery for their own partitions — images for forward/backward-data,
-// filter channels for backward-weights — so gemm.cpp exports this one
-// helper instead of every kernel growing a private pool.
+// parallel inside). The direct convolution kernels need the same machinery
+// for their own partitions — images for forward/backward-data, filter
+// channels for backward-weights — so gemm.cpp exports this one helper
+// instead of every kernel growing a private pool.
 //
 // Determinism: the helper only distributes WHOLE tasks. As long as each
 // task owns its outputs and reduces them in a fixed serial order (true for

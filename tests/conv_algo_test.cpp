@@ -1,7 +1,7 @@
-// Property battery for the convolution dispatch layer: the direct 3×3 and
-// Winograd F(2×2,3×3) kernels against the im2col+GEMM reference over ragged
-// H/W, channel counts straddling the v16sf lane width, and pad-edge shapes;
-// bitwise parallel-vs-serial for every algorithm; the blocked-layout
+// Property battery for the convolution dispatch layer: the direct 3×3
+// kernels against the im2col+GEMM reference over ragged H/W, channel counts
+// straddling the v16sf lane width, and pad-edge shapes; bitwise
+// parallel-vs-serial for every algorithm; the blocked-layout
 // transform round trip and its zero-fill contract; and the kAuto
 // resolution chain.
 #include <gtest/gtest.h>
@@ -124,49 +124,6 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
   expect_close_span(direct.grads, ref.grads, 1e-4, "direct dW/db");
 }
 
-TEST_P(ConvAlgoCaseTest, WinogradMatchesIm2col) {
-  const ConvCase& cc = kCases[GetParam()];
-  Rng rng(0x3176 + GetParam());
-  const Tensor x = random_input(rng, cc.batch, cc.in_c, cc.h, cc.w);
-  BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 7);
-  BoundConv wino(cc.in_c, cc.out_c, ConvAlgo::kWinograd, 7);
-  Tensor y_ref, y_wino;
-  ref.conv.forward(x, y_ref, true);
-  wino.conv.forward(x, y_wino, true);
-  expect_close(y_wino, y_ref, 1e-4, "winograd forward");
-}
-
-TEST_P(ConvAlgoCaseTest, Int8ForwardWithinQuantizationBound) {
-  const ConvCase& cc = kCases[GetParam()];
-  Rng rng(0x178 + GetParam());
-  const Tensor x = random_input(rng, cc.batch, cc.in_c, cc.h, cc.w);
-  BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 9);
-  BoundConv q(cc.in_c, cc.out_c, ConvAlgo::kInt8, 9);
-  Tensor y_ref, y_q;
-  ref.conv.forward(x, y_ref, true);
-  q.conv.forward(x, y_q, true);
-  // Per-output error bound: each of the k = C·9 products carries at most
-  // (step/2 · |b|max + step/2 · |a|max + step²/4) quantization error.
-  const std::size_t k = cc.in_c * 9;
-  double a_max = 0.0, w_max = 0.0;
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    a_max = std::max(a_max, static_cast<double>(std::fabs(x[i])));
-  }
-  for (std::size_t i = 0; i < q.params.size() - cc.out_c; ++i) {
-    w_max = std::max(w_max, static_cast<double>(std::fabs(q.params[i])));
-  }
-  const double step_a = 2.0 * a_max / 255.0;   // range ≤ [-a_max, a_max]
-  const double step_w = 2.0 * w_max / 255.0;
-  const double bound = static_cast<double>(k) *
-                       (0.5 * step_a * w_max + 0.5 * step_w * a_max +
-                        0.25 * step_a * step_w) +
-                       1e-4;
-  ASSERT_EQ(y_q.shape(), y_ref.shape());
-  for (std::size_t i = 0; i < y_q.numel(); ++i) {
-    ASSERT_NEAR(y_q[i], y_ref[i], bound) << "int8 forward at " << i;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvAlgoCaseTest,
                          ::testing::Range<std::size_t>(0, std::size(kCases)));
 
@@ -232,9 +189,7 @@ TEST_P(ConvAlgoDeterminismTest, BackwardParamsMatchesBackward) {
 
 INSTANTIATE_TEST_SUITE_P(Algos, ConvAlgoDeterminismTest,
                          ::testing::Values(ConvAlgo::kIm2col,
-                                           ConvAlgo::kDirect,
-                                           ConvAlgo::kWinograd,
-                                           ConvAlgo::kInt8),
+                                           ConvAlgo::kDirect),
                          [](const auto& info) {
                            return conv_algo_name(info.param);
                          });
@@ -285,13 +240,16 @@ TEST(BlockedLayoutTest, RoundTripAndZeroFill) {
 // ---------------------------------------------------------------------------
 
 TEST(ConvAlgoResolveTest, HeuristicAndFallbacks) {
-  ConvGeom g3;  // 3×3/s1/p1 — the direct/Winograd family
+  ConvGeom g3;  // 3×3/s1/p1 — the direct family
   g3.channels = 64;
   g3.height = 16;
   g3.width = 16;
   g3.kernel = 3;
   g3.stride = 1;
   g3.pad = 1;
+  ConvGeom g3_small = g3;  // below the heuristic's 12×12 plane cut-off
+  g3_small.height = 8;
+  g3_small.width = 8;
   ConvGeom g5 = g3;  // 5×5 — im2col only
   g5.kernel = 5;
   g5.pad = 2;
@@ -299,34 +257,29 @@ TEST(ConvAlgoResolveTest, HeuristicAndFallbacks) {
   EXPECT_TRUE(conv_algo_supported(ConvAlgo::kDirect, g3));
   EXPECT_FALSE(conv_algo_supported(ConvAlgo::kDirect, g5));
   EXPECT_TRUE(conv_algo_supported(ConvAlgo::kIm2col, g5));
-  EXPECT_TRUE(conv_algo_supported(ConvAlgo::kInt8, g5));
 
-  // The heuristic never volunteers the lossy kernel and falls back to
-  // im2col off-family.
+  // The heuristic picks direct in-family at 16×16 and im2col otherwise.
+  EXPECT_EQ(choose_conv_algo(g3, 64), ConvAlgo::kDirect);
+  EXPECT_EQ(choose_conv_algo(g3_small, 64), ConvAlgo::kIm2col);
   EXPECT_EQ(choose_conv_algo(g5, 64), ConvAlgo::kIm2col);
-  EXPECT_NE(choose_conv_algo(g3, 64), ConvAlgo::kInt8);
-  EXPECT_NE(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kAuto);
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kDirect);
 
-  // Unsupported explicit picks fall back to im2col.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kWinograd, g5, 64),
-            ConvAlgo::kIm2col);
-
-  // Thread-local override beats the heuristic; process default beats the
-  // heuristic but loses to the thread-local knob.
+  // An unsupported pin falls back to im2col, from either level.
+  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, g5, 64), ConvAlgo::kIm2col);
   {
     AlgoGuard guard(ConvAlgo::kDirect);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kDirect);
+    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g5, 64), ConvAlgo::kIm2col);
+    // The thread-local knob beats the heuristic …
+    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3_small, 64),
+              ConvAlgo::kDirect);
   }
-  set_process_conv_algo(ConvAlgo::kIm2col);
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kIm2col);
   {
-    AlgoGuard guard(ConvAlgo::kWinograd);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64),
-              ConvAlgo::kWinograd);
+    AlgoGuard guard(ConvAlgo::kIm2col);
+    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kIm2col);
+    // … and the layer's own choice beats the thread-local knob.
+    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, g3, 64),
+              ConvAlgo::kDirect);
   }
-  set_process_conv_algo(ConvAlgo::kAuto);
-  // Layer choice beats everything.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kInt8, g3, 64), ConvAlgo::kInt8);
 }
 
 // The im2col backward reuses the forward's column matrix; flipping the

@@ -1,11 +1,6 @@
-#include <cmath>
-#include <cstring>
-
 #include <gtest/gtest.h>
 
 #include "comm/quantize.hpp"
-#include "tensor/gemm.hpp"
-#include "tensor/gemm_int8.hpp"
 #include "core/sync_algorithms.hpp"
 #include "data/dataset.hpp"
 #include "nn/models.hpp"
@@ -59,94 +54,6 @@ TEST(Int8Codec, DecodeSizeMismatchRejected) {
   Int8Codec::encode(values, blob);
   std::vector<float> wrong(3);
   EXPECT_THROW(Int8Codec::decode(blob, wrong), Error);
-}
-
-// ------------------------------ Int8 GEMM ------------------------------------
-
-// The quantized GEMM (tensor/gemm_int8.hpp) consumes Int8Codec blobs; its
-// output must track a double-accumulated fp32 reference within the bound
-// implied by the codec's half-step round-off: each of the k products
-// carries at most  step_a/2·|b| + |â|·step_b/2  of error.
-TEST(Int8Gemm, MatchesFp32WithinQuantizationBound) {
-  Rng rng(0x18);
-  const std::size_t m = 13, n = 37, k = 61;
-  std::vector<float> a(m * k), b(k * n), bias(m);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-2.0, 3.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.5));
-  for (auto& v : bias) v = static_cast<float>(rng.uniform(-0.5, 0.5));
-
-  Int8Codec::Blob qa, qb;
-  Int8Codec::encode(a, qa);
-  Int8Codec::encode(b, qb);
-  std::vector<float> c(m * n);
-  gemm_u8(m, n, k, qa.data.data(), qa.min, qa.step, qb.data.data(), n,
-          qb.min, qb.step, c.data(), n, bias.data());
-
-  double a_max = 0.0, b_max = 0.0;
-  for (const float v : a) a_max = std::max(a_max, std::fabs(double{v}));
-  for (const float v : b) b_max = std::max(b_max, std::fabs(double{v}));
-  const double bound =
-      static_cast<double>(k) *
-          (0.5 * qa.step * b_max + 0.5 * qb.step * (a_max + qa.step)) +
-      1e-5;
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = static_cast<double>(bias[i]);
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += static_cast<double>(a[i * k + p]) *
-               static_cast<double>(b[p * n + j]);
-      }
-      ASSERT_NEAR(c[i * n + j], acc, bound) << "C[" << i << "][" << j << "]";
-    }
-  }
-}
-
-// Exact integer accumulation ⇒ gemm_u8 is bitwise thread-invariant.
-TEST(Int8Gemm, ParallelBitwiseEqualsSerial) {
-  Rng rng(0x19);
-  const std::size_t m = 29, n = 43, k = 53;
-  std::vector<float> a(m * k), b(k * n);
-  for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  Int8Codec::Blob qa, qb;
-  Int8Codec::encode(a, qa);
-  Int8Codec::encode(b, qb);
-  std::vector<float> serial(m * n), parallel(m * n);
-  gemm_u8(m, n, k, qa.data.data(), qa.min, qa.step, qb.data.data(), n,
-          qb.min, qb.step, serial.data(), n, nullptr);
-  kernel_config().gemm_threads = 5;
-  gemm_u8(m, n, k, qa.data.data(), qa.min, qa.step, qb.data.data(), n,
-          qb.min, qb.step, parallel.data(), n, nullptr);
-  kernel_config().gemm_threads = 1;
-  EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                           serial.size() * sizeof(float)));
-}
-
-// A dequantized identity must pass values through with only round-off: the
-// round trip that a Conv2D int8 forward applies to its inputs.
-TEST(Int8Gemm, IdentityRoundTrip) {
-  const std::size_t n = 8;
-  std::vector<float> eye(n * n, 0.0f);
-  for (std::size_t i = 0; i < n; ++i) eye[i * n + i] = 1.0f;
-  std::vector<float> x(n * n);
-  Rng rng(0x1A);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-4.0, 4.0));
-  Int8Codec::Blob qi, qx;
-  Int8Codec::encode(eye, qi);
-  Int8Codec::encode(x, qx);
-  std::vector<float> y(n * n);
-  gemm_u8(n, n, n, qi.data.data(), qi.min, qi.step, qx.data.data(), n,
-          qx.min, qx.step, y.data(), n, nullptr);
-  // One quantized multiply per output: error ≤ n·(step_i/2·|x|max + step_x/2·(1+step_i)).
-  double x_max = 0.0;
-  for (const float v : x) x_max = std::max(x_max, std::fabs(double{v}));
-  const double bound = static_cast<double>(n) *
-                           (0.5 * qi.step * x_max +
-                            0.5 * qx.step * (1.0 + qi.step)) +
-                       1e-5;
-  for (std::size_t i = 0; i < n * n; ++i) {
-    EXPECT_NEAR(y[i], x[i], bound) << "index " << i;
-  }
 }
 
 // -------------------------------- OneBit -------------------------------------

@@ -1,12 +1,8 @@
 // Batched-forward parity: coalescing B requests into ONE infer() call must
 // be bitwise-identical to B separate batch-1 infer() calls, for every
-// deterministic ConvAlgo the dispatch heuristic can pick. This is the
-// correctness contract behind the serving batcher — dynamic batching must
-// be invisible to the caller, down to the last ulp.
-//
-// kInt8 is deliberately excluded: its quantization scales are computed over
-// the whole activation tensor, so they are batch-dependent by design (and
-// the heuristic never auto-selects it — see choose_conv_algo).
+// ConvAlgo the dispatch heuristic can pick. This is the correctness
+// contract behind the serving batcher — dynamic batching must be invisible
+// to the caller, down to the last ulp.
 #include <cstring>
 #include <vector>
 
@@ -68,19 +64,11 @@ TEST(ServeParity, LenetIm2colBatchedMatchesSingles) {
   expect_batch_parity(*net, data.train, 5);
 }
 
-// alexnet_s's 3×3 s1 p1 convs are direct/Winograd-supported shapes, so the
-// forced pins below exercise the real kernels (LeNet's 5×5 convs would
-// silently fall back to im2col — see resolve_conv_algo).
+// alexnet_s's 3×3 s1 p1 convs are direct-supported shapes, so the forced
+// pin below exercises the real kernels (LeNet's 5×5 convs would silently
+// fall back to im2col — see resolve_conv_algo).
 TEST(ServeParity, AlexnetDirectBatchedMatchesSingles) {
   AlgoGuard guard(ConvAlgo::kDirect);
-  const TrainTest data = cifar_like(/*seed=*/5, /*train=*/16, /*test=*/8);
-  Rng rng(22);
-  const auto net = make_alexnet_s(rng);
-  expect_batch_parity(*net, data.train, 5);
-}
-
-TEST(ServeParity, AlexnetWinogradBatchedMatchesSingles) {
-  AlgoGuard guard(ConvAlgo::kWinograd);
   const TrainTest data = cifar_like(/*seed=*/5, /*train=*/16, /*test=*/8);
   Rng rng(22);
   const auto net = make_alexnet_s(rng);

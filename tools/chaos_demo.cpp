@@ -1,24 +1,31 @@
-// monitor_chaos_demo — seeded 4-rank Sync-EASGD chaos run with the online
-// health monitor installed, used by CI to exercise the monitor + flight
-// recorder end to end:
+// chaos_demo — seeded 4-rank Sync-EASGD run over the fault-injecting fabric
+// with tracing on and the online health monitor installed, used by CI to
+// exercise the whole observability path end to end:
 //
-//   1. run Sync EASGD over a fault-injecting fabric (drops + a 3x straggler
-//      on rank 2), tracing on so the flight recorder has events to mirror;
-//   2. assert the ONLINE straggler-drift detector fired and named rank 2;
-//   3. cross-check against the OFFLINE attribution: the sync-round
-//      critical-path analysis over the same trace must name the same rank;
-//   4. dump the postmortem bundle + flight trace, and re-validate both
-//      (postmortem schema check; Chrome-trace check + analysis ingest).
+//   1. honor DEEPSCALE_TRACE=<path> (default chaos_trace.json when unset);
+//   2. run Sync EASGD over a 4-rank fabric with drops + a 3x straggler on
+//      rank 2, all draws seeded so the run replays bit-for-bit;
+//   3. check the ledger↔trace contract: per-phase sums of the "ledger"
+//      complete spans must equal the RunResult's CostLedger to 1e-9;
+//   4. assert the ONLINE straggler-drift detector fired and named rank 2,
+//      and that the OFFLINE sync-round critical-path analysis over the same
+//      trace names the same rank;
+//   5. flush the Chrome trace, dump the postmortem bundle + flight trace,
+//      and re-validate all three (Chrome-trace check, postmortem schema
+//      check, analysis ingest).
 //
-// Exit 0 iff every check passes — CI gates the artifact upload on it.
+// Exit 0 iff every check passes — CI gates the artifact uploads on it.
 //
 //   argv[1] (optional): bundle path, default monitor_bundle.json; the
 //   flight trace lands next to it as <bundle stem>.trace.json.
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "comm/ledger.hpp"
 #include "core/fabric_algorithms.hpp"
 #include "data/dataset.hpp"
 #include "nn/models.hpp"
@@ -47,6 +54,35 @@ std::string read_file(const std::string& path) {
   return buf.str();
 }
 
+/// Sum of the "ledger"-category virtual complete spans, per phase name.
+double ledger_span_sum(const std::vector<ds::obs::ThreadEvents>& threads,
+                       const char* phase) {
+  double sum = 0.0;
+  for (const ds::obs::ThreadEvents& te : threads) {
+    for (const ds::obs::Event& e : te.events) {
+      if (e.type == ds::obs::EventType::kCompleteV &&
+          std::strcmp(e.category, "ledger") == 0 &&
+          std::strcmp(e.name, phase) == 0) {
+        sum += e.value;
+      }
+    }
+  }
+  return sum;
+}
+
+/// Chrome-trace validation of `text`, printing any errors under `label`.
+void check_chrome_trace(const std::string& text, const char* label,
+                        const char* what) {
+  const ds::obs::TraceValidation v =
+      ds::obs::validate_chrome_trace_text(text);
+  for (const std::string& e : v.errors) {
+    std::printf("  %s error: %s\n", label, e.c_str());
+  }
+  check(v.ok(), what);
+  std::printf("%s: %zu events, %zu spans, %zu processes\n", label,
+              v.event_count, v.span_count, v.process_count);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,13 +90,20 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : std::string("monitor_bundle.json");
   constexpr std::int64_t kStragglerRank = 2;
 
-  // Tracing feeds the flight recorder; no trace file is written unless
-  // DEEPSCALE_TRACE asked for one.
+  // DEEPSCALE_TRACE already enabled tracing at static-init time if set;
+  // otherwise default the output path and switch the recorder on here.
+  // Tracing also feeds the monitor's flight recorder.
+  if (ds::obs::trace_path().empty()) {
+    ds::obs::set_trace_path("chaos_trace.json");
+  }
   ds::obs::set_tracing_enabled(true);
-  std::printf("monitor chaos demo: 4-rank Sync EASGD, straggler on rank %lld, "
-              "bundle -> %s\n",
-              static_cast<long long>(kStragglerRank), bundle_path.c_str());
+  std::printf("chaos demo: 4-rank fabric Sync EASGD, straggler on rank %lld, "
+              "trace -> %s, bundle -> %s\n",
+              static_cast<long long>(kStragglerRank),
+              ds::obs::trace_path().c_str(), bundle_path.c_str());
 
+  // Tiny synthetic problem: big enough that every phase charges, small
+  // enough for CI.
   ds::SyntheticSpec spec;
   spec.classes = 4;
   spec.channels = 1;
@@ -116,10 +159,33 @@ int main(int argc, char** argv) {
   std::printf("run: %s — %s, %.4f vseconds, acc %.3f\n", res.method.c_str(),
               res.fault_summary().c_str(), res.total_seconds,
               res.final_accuracy);
+  std::printf("wire: %llu messages, %llu bytes, %llu retransmits\n",
+              static_cast<unsigned long long>(res.messages_sent),
+              static_cast<unsigned long long>(res.bytes_sent),
+              static_cast<unsigned long long>(res.retransmits));
 
   check(!res.aborted, "run completed every round");
+  check(res.messages_sent > 0, "fabric counted messages");
+  check(res.retransmits > 0, "drops forced retransmits");
   check(monitor.finalized(), "monitor finalized at run end");
   check(monitor.windows_closed() > 10, "monitor closed rolling windows");
+
+  // --- ledger <-> trace contract: the "ledger" spans ARE the charges ------
+  const std::vector<ds::obs::ThreadEvents> threads = ds::obs::snapshot();
+  bool rollup_ok = true;
+  for (std::size_t i = 0; i < ds::kPhaseCount; ++i) {
+    const ds::Phase phase = static_cast<ds::Phase>(i);
+    const double from_spans =
+        ledger_span_sum(threads, ds::phase_name(phase));
+    const double from_ledger = res.ledger.seconds(phase);
+    if (std::fabs(from_spans - from_ledger) > 1e-9) {
+      std::printf("  phase %s: spans %.12f != ledger %.12f\n",
+                  ds::phase_name(phase), from_spans, from_ledger);
+      rollup_ok = false;
+    }
+  }
+  check(rollup_ok, "ledger span rollup matches CostLedger (1e-9)");
+  check(ds::obs::dropped_events() == 0, "no trace events dropped");
 
   // --- online detection ----------------------------------------------------
   bool straggler_alert = false;
@@ -137,16 +203,19 @@ int main(int argc, char** argv) {
         "online detector named the injected straggler rank");
 
   // --- offline agreement ---------------------------------------------------
-  const ds::obs::analysis::TraceData trace =
-      ds::obs::analysis::ingest_snapshot(ds::obs::snapshot());
   const ds::obs::analysis::StragglerReport offline =
-      ds::obs::analysis::attribute_stragglers(
-          ds::obs::analysis::sync_rounds(trace));
+      ds::obs::analysis::attribute_stragglers(ds::obs::analysis::sync_rounds(
+          ds::obs::analysis::ingest_snapshot(threads)));
   std::printf("offline: top straggler rank %lld over %zu gated rounds\n",
               static_cast<long long>(offline.top_rank()),
               offline.gated_rounds);
   check(offline.top_rank() == kStragglerRank,
         "offline critical-path attribution names the same rank");
+
+  // --- Chrome trace --------------------------------------------------------
+  check(ds::obs::flush_now(), "trace file written");
+  check_chrome_trace(read_file(ds::obs::trace_path()), "trace",
+                     "written trace validates as Chrome trace_event JSON");
 
   // --- bundle + flight trace -----------------------------------------------
   check(monitor.triggered(), "alert armed the dump trigger");
@@ -175,16 +244,8 @@ int main(int argc, char** argv) {
   flight_path += ".trace.json";
   const std::string flight_text = read_file(flight_path);
   check(!flight_text.empty(), "flight trace written next to the bundle");
-  {
-    const ds::obs::TraceValidation v =
-        ds::obs::validate_chrome_trace_text(flight_text);
-    for (const std::string& e : v.errors) {
-      std::printf("  flight trace error: %s\n", e.c_str());
-    }
-    check(v.ok(), "flight trace validates as Chrome trace_event JSON");
-    std::printf("flight: %zu events, %zu spans, %zu processes\n",
-                v.event_count, v.span_count, v.process_count);
-  }
+  check_chrome_trace(flight_text, "flight",
+                     "flight trace validates as Chrome trace_event JSON");
   try {
     const ds::obs::analysis::TraceData flight =
         ds::obs::analysis::ingest_chrome_trace(
@@ -196,7 +257,7 @@ int main(int argc, char** argv) {
     check(false, "flight trace ingests through analysis::ingest_chrome_trace");
   }
 
-  std::printf("%s\n", g_failures == 0 ? "MONITOR CHAOS DEMO PASSED"
-                                      : "MONITOR CHAOS DEMO FAILED");
+  std::printf("%s\n", g_failures == 0 ? "CHAOS DEMO PASSED"
+                                      : "CHAOS DEMO FAILED");
   return g_failures == 0 ? 0 : 1;
 }

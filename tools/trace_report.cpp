@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     // Cumulative tracks the tensor kernels emit while tracing (conv.flops,
     // im2col.bytes, col2im.bytes): last sample = run total. The flops-to-
     // lowering-bytes ratio is what makes an im2col-vs-direct switch visible
-    // — direct/Winograd layers grow conv.flops without growing im2col.bytes.
+    // — direct-kernel layers grow conv.flops without growing im2col.bytes.
     if (!trace.counters.empty()) {
       std::printf("\nkernel counters (cumulative, final sample)\n");
       for (const auto& [name, track] : trace.counters) {
