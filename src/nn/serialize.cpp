@@ -1,6 +1,7 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -30,22 +31,33 @@ T read_pod(std::ifstream& in, const char* what) {
 
 void save_checkpoint(const Network& net, const std::string& path) {
   DS_CHECK(net.finalized(), "cannot checkpoint an unfinalised network");
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  DS_CHECK(out.is_open(), "cannot open checkpoint for writing: " << path);
-
-  out.write(kMagic, sizeof(kMagic));
-  write_pod(out, kVersion);
-  const ParamArena& arena = net.arena();
-  write_pod(out, static_cast<std::uint64_t>(arena.layer_count()));
-  for (std::size_t l = 0; l < arena.layer_count(); ++l) {
-    write_pod(out, static_cast<std::uint64_t>(arena.layer_sizes()[l]));
+  // Write a sibling temp file and rename it over `path`, so a crash
+  // mid-write leaves the previous checkpoint intact.
+  const std::string tmp = path + ".tmp";
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  DS_CHECK(out.is_open(), "cannot open checkpoint for writing: " << tmp);
+  try {
+    out.write(kMagic, sizeof(kMagic));
+    write_pod(out, kVersion);
+    const ParamArena& arena = net.arena();
+    write_pod(out, static_cast<std::uint64_t>(arena.layer_count()));
+    for (std::size_t l = 0; l < arena.layer_count(); ++l) {
+      write_pod(out, static_cast<std::uint64_t>(arena.layer_sizes()[l]));
+    }
+    for (std::size_t l = 0; l < arena.layer_count(); ++l) {
+      const auto params = arena.layer_params(l);
+      out.write(reinterpret_cast<const char*>(params.data()),
+                static_cast<std::streamsize>(params.size() * sizeof(float)));
+    }
+    out.flush();
+    out.close();
+    DS_CHECK(!out.fail(), "write failure on checkpoint: " << tmp);
+    DS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+             "cannot rename " << tmp << " over " << path);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
-  for (std::size_t l = 0; l < arena.layer_count(); ++l) {
-    const auto params = arena.layer_params(l);
-    out.write(reinterpret_cast<const char*>(params.data()),
-              static_cast<std::streamsize>(params.size() * sizeof(float)));
-  }
-  DS_CHECK(out.good(), "write failure on checkpoint: " << path);
 }
 
 void load_checkpoint(Network& net, const std::string& path) {
@@ -80,6 +92,8 @@ void load_checkpoint(Network& net, const std::string& path) {
                                params.size() * sizeof(float)),
              "checkpoint truncated in layer " << l);
   }
+  DS_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+           "trailing bytes after the last layer of checkpoint: " << path);
 }
 
 }  // namespace ds

@@ -15,11 +15,15 @@
 
 namespace ds {
 
-/// Write all parameters of `net` to `path`. Throws ds::Error on I/O failure.
+/// Write all parameters of `net` to `path`: the bytes go to `path + ".tmp"`,
+/// which is renamed over `path` once fully written, so a process crash never
+/// leaves a torn checkpoint. There is no fsync, so a power loss can. Throws
+/// ds::Error on I/O failure, with the previous `path` untouched.
 void save_checkpoint(const Network& net, const std::string& path);
 
 /// Load parameters into `net`. Throws ds::Error if the file is missing,
-/// malformed, or describes a different parameter geometry.
+/// malformed, has bytes after the last layer, or describes a different
+/// parameter geometry.
 void load_checkpoint(Network& net, const std::string& path);
 
 }  // namespace ds

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstring>
 #include <queue>
+#include <thread>
 
 #include "nn/serialize.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 
 namespace ds::serve {
 
@@ -49,6 +52,25 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
+// Copy the pool samples of one batch's requests into `input`, reshaping it
+// only when the batch size changes.
+void coalesce(const std::vector<std::uint64_t>& ids, const Dataset& pool,
+              Tensor& input) {
+  const std::size_t sample_numel = pool.sample_numel();
+  const Shape sample_shape = pool.sample_shape();  // dims() borrows from it
+  std::vector<std::size_t> dims;
+  dims.push_back(ids.size());
+  for (const std::size_t d : sample_shape.dims()) dims.push_back(d);
+  Shape shape(dims);
+  if (!(input.shape() == shape)) input = Tensor(std::move(shape));
+  for (std::size_t b = 0; b < ids.size(); ++b) {
+    const std::size_t src = ids[b] % pool.size();
+    std::memcpy(input.data() + b * sample_numel,
+                pool.images.data() + src * sample_numel,
+                sample_numel * sizeof(float));
+  }
+}
+
 }  // namespace
 
 double ServeResult::latency_quantile_ms(double q) const {
@@ -72,6 +94,7 @@ std::uint64_t ServeResult::outcome_digest() const {
     h = fnv1a(h, static_cast<std::uint64_t>(r.replica + 1));
     h = fnv1a(h, r.batch_id);
     h = fnv1a(h, static_cast<std::uint64_t>(r.batch_size));
+    h = fnv1a(h, static_cast<std::uint64_t>(r.predicted + 1));
   }
   h = fnv1a(h, scale_ups);
   h = fnv1a(h, scale_downs);
@@ -86,9 +109,14 @@ struct Server::Impl {
     std::unique_ptr<Network> net;
     bool active = false;
     bool busy = false;
+    // This run's batches as request ids, in dispatch order; while the
+    // replica is busy, the last one is in flight.
+    std::vector<std::vector<std::uint64_t>> batches;
+    Tensor input;  // coalesced batch for the replica's forward
   };
   std::vector<Replica> replicas;
   std::size_t active_count = 0;
+  std::unique_ptr<ThreadPool> forward_pool;  // built on first use
 
   // Cached instrument references (registration is find-or-create once).
   obs::Counter& requests_ctr = obs::metrics().counter(obs::names::kServeRequests);
@@ -114,6 +142,40 @@ struct Server::Impl {
       load_checkpoint(*net, config.checkpoint_path);
     }
     return net;
+  }
+
+  // Run every replica's batches through its network, one pool task per
+  // replica, and store each request's argmax class in `predicted`. Each
+  // replica stays one serial stream over its own buffers, and batched
+  // inference is bitwise equal to batch-1 calls, so the answers do not
+  // depend on the thread count or the interleaving.
+  void run_forwards(const Dataset& pool,
+                    std::vector<std::int32_t>& predicted) {
+    if (!forward_pool) {
+      forward_pool = std::make_unique<ThreadPool>(std::min<std::size_t>(
+          replicas.size(), std::max(1u, std::thread::hardware_concurrency())));
+    }
+    // The rules of ReplicaSet::compute_gradients (DESIGN.md §7): tasks keep
+    // the caller's kernel choices but not its intra-GEMM threading, and
+    // trace on the caller's rank.
+    KernelConfig task_config = kernel_config();
+    task_config.gemm_threads = 1;
+    const std::int64_t rank = obs::thread_rank();
+    forward_pool->parallel_for(replicas.size(), [&](std::size_t r) {
+      kernel_config() = task_config;
+      const obs::RankScope obs_rank(rank);
+      Replica& replica = replicas[r];
+      for (const std::vector<std::uint64_t>& ids : replica.batches) {
+        coalesce(ids, pool, replica.input);
+        const Tensor& logits = replica.net->infer(replica.input);
+        const std::size_t classes = logits.numel() / ids.size();
+        for (std::size_t b = 0; b < ids.size(); ++b) {
+          const float* row = logits.data() + b * classes;
+          predicted[ids[b]] = static_cast<std::int32_t>(
+              std::max_element(row, row + classes) - row);
+        }
+      }
+    });
   }
 };
 
@@ -152,6 +214,13 @@ ServeResult Server::run(const std::vector<double>& arrivals,
                         const Dataset& pool) {
   DS_CHECK(pool.size() > 0, "serve request pool is empty");
   Impl& s = *impl_;
+  // Every replica comes from the same factory, so replica 0 speaks for all.
+  DS_CHECK(!config_.run_model ||
+               pool.sample_shape() == s.replicas.front().net->input_shape(),
+           "serve request pool samples are "
+               << pool.sample_shape().str() << ", replicas expect "
+               << s.replicas.front().net->input_shape().str());
+  for (Impl::Replica& replica : s.replicas) replica.batches.clear();
   const BatchPolicy& policy = config_.batch;
   const bool traced = obs::tracing_enabled();
 
@@ -183,29 +252,12 @@ ServeResult Server::run(const std::vector<double>& arrivals,
     push_event(arrivals[i], Event::kArrival, i);
   }
 
-  // Per-replica in-flight batch (request ids) and its completion time.
-  std::vector<std::vector<std::uint64_t>> inflight(s.replicas.size());
+  // Per-replica completion time of the in-flight batch.
   std::vector<double> busy_until(s.replicas.size(), 0.0);
   std::uint64_t next_batch_id = 0;
   std::size_t pending_activations = 0;
   double last_dispatch = 0.0;
   double last_event_time = arrivals.empty() ? 0.0 : arrivals.back();
-  Tensor batch_input;  // grow-on-demand coalescing buffer
-
-  const std::size_t sample_numel = pool.sample_numel();
-  const Shape sample_shape = pool.sample_shape();
-  const auto coalesce = [&](const std::vector<PendingRequest>& batch) {
-    std::vector<std::size_t> dims;
-    dims.push_back(batch.size());
-    for (const std::size_t d : sample_shape.dims()) dims.push_back(d);
-    batch_input = Tensor(Shape(dims));
-    for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::size_t src = batch[b].id % pool.size();
-      std::memcpy(batch_input.data() + b * sample_numel,
-                  pool.images.data() + src * sample_numel,
-                  sample_numel * sizeof(float));
-    }
-  };
 
   const auto earliest_free = [&](double now) {
     // Earliest instant some ACTIVE replica is free: now if one is idle,
@@ -244,14 +296,10 @@ ServeResult Server::run(const std::vector<double>& arrivals,
       s.batch_hist.observe(static_cast<double>(B));
       ++result.batches;
 
-      if (config_.run_model) {
-        coalesce(batch);
-        s.replicas[r].net->infer(batch_input);
-      }
-
-      inflight[r].clear();
+      std::vector<std::uint64_t>& ids = s.replicas[r].batches.emplace_back();
+      ids.reserve(B);
       for (const PendingRequest& p : batch) {
-        inflight[r].push_back(p.id);
+        ids.push_back(p.id);
         RequestRecord& rec = result.requests[p.id];
         rec.replica = static_cast<std::int64_t>(r);
         rec.batch_id = batch_id;
@@ -343,14 +391,16 @@ ServeResult Server::run(const std::vector<double>& arrivals,
         break;
       case Event::kDone: {
         const std::size_t r = ev.payload;
-        const std::size_t B = inflight[r].size();
+        const std::vector<std::uint64_t>& inflight =
+            s.replicas[r].batches.back();
+        const std::size_t B = inflight.size();
         const double reply_t = now + s.device.reply_seconds(B);
         if (traced) {
           obs::complete_v(kServeCategory, kReplySpan, now, reply_t - now,
                           static_cast<std::int64_t>(r),
                           static_cast<double>(B));
         }
-        for (const std::uint64_t id : inflight[r]) {
+        for (const std::uint64_t id : inflight) {
           RequestRecord& rec = result.requests[id];
           rec.outcome = Outcome::kServed;
           rec.done = now;
@@ -370,7 +420,6 @@ ServeResult Server::run(const std::vector<double>& arrivals,
                            static_cast<double>(rec.id), rec.latency());
           }
         }
-        inflight[r].clear();
         s.replicas[r].busy = false;
         last_event_time = std::max(last_event_time, reply_t);
         // Autoscale down: sustained idle with an empty queue releases the
@@ -426,6 +475,13 @@ ServeResult Server::run(const std::vector<double>& arrivals,
 
   DS_CHECK(batcher.empty(),
            "serve event loop drained with requests still queued");
+  if (config_.run_model) {
+    std::vector<std::int32_t> predicted(arrivals.size(), -1);
+    s.run_forwards(pool, predicted);
+    for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      result.requests[i].predicted = predicted[i];
+    }
+  }
   result.duration_s = last_event_time;
   result.final_replicas = s.active_count;
   result.latency_usec = s.latency_hist.window().since(latency_before);

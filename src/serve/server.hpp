@@ -8,13 +8,15 @@
 // through the dynamic batcher + admission control (serve/batcher.hpp), and
 // leave as replies or sheds.
 //
-// The run is a single-threaded discrete-event simulation over VIRTUAL time:
-// the event queue is ordered by (time, push sequence), every stochastic
+// The event loop is a single-threaded discrete-event simulation over VIRTUAL
+// time: the event queue is ordered by (time, push sequence), every stochastic
 // choice flows through the seeded workload trace, and the model math — the
-// real forward passes — never feeds back into timing. Same seed ⇒ identical
-// request outcome sequence, batch assignments, and per-replica trace event
-// sequences (asserted by tests/serve_test.cpp), exactly like the training
-// runners.
+// real forward passes — never feeds back into timing. The loop only records
+// which requests each replica's batches hold; after it drains, the replicas'
+// forwards fan out, one pool task per replica, each walking its own batches
+// in dispatch order. Same seed ⇒ identical request outcome sequence, batch
+// assignments, predictions, and per-replica trace event sequences (asserted
+// by tests/serve_test.cpp), exactly like the training runners.
 //
 // Observability: every request lifecycle emits "serve"-category events on
 // the virtual timeline —
@@ -83,6 +85,9 @@ struct RequestRecord {
   double dispatch = 0.0;  // batch left the queue
   double done = 0.0;      // compute finished
   double reply = 0.0;     // response fully on the host side
+  /// Argmax class of the request's logits (the first maximal one); -1 when
+  /// shed or when the server runs timing-only.
+  std::int32_t predicted = -1;
 
   double latency() const { return reply - arrival; }
   bool within_deadline() const {
@@ -115,7 +120,8 @@ struct ServeResult {
   double latency_quantile_ms(double q) const;
 
   /// FNV-1a over the per-request outcome sequence (outcome, replica, batch
-  /// id) plus the scale-event count — the determinism test's fingerprint.
+  /// id, batch size, predicted class) plus the scale-event counts — the
+  /// determinism test's fingerprint.
   std::uint64_t outcome_digest() const;
 };
 
@@ -132,7 +138,9 @@ class Server {
 
   /// Serve one arrival trace. Request i's input sample is pool image
   /// (i mod pool.size). Reentrant: each run() resets the virtual clock and
-  /// per-run state but keeps the replicas (and their weights) warm.
+  /// per-run state but keeps the replicas (and their weights) warm. With
+  /// run_model, a pool whose sample shape differs from the replicas' input
+  /// shape throws ds::Error before any request is processed.
   ServeResult run(const std::vector<double>& arrivals, const Dataset& pool);
 
   const ServerConfig& config() const { return config_; }

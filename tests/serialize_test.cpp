@@ -1,5 +1,6 @@
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <string>
@@ -143,6 +144,58 @@ TEST(Serialize, RejectsTruncatedFile) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(contents.data(),
               static_cast<std::streamsize>(contents.size() / 2));
+  }
+  Rng rng2(5);
+  auto victim = make_tiny_mlp(rng2);
+  EXPECT_THROW(load_checkpoint(*victim, path), Error);
+  std::remove(path.c_str());
+}
+
+// Crash consistency: a save that cannot complete must leave the previous
+// checkpoint exactly as it was. A directory squatting on the temp path makes
+// the save fail before a single byte reaches `path`.
+TEST(Serialize, FailedSaveLeavesPreviousCheckpointIntact) {
+  Rng rng(3);
+  const auto old_net = make_lenet_s(rng);
+  const std::string path = temp_path("blocked.dscp");
+  save_checkpoint(*old_net, path);
+
+  const std::string tmp = path + ".tmp";
+  std::filesystem::create_directory(tmp);
+  Rng rng2(8);
+  const auto new_net = make_lenet_s(rng2);
+  EXPECT_THROW(save_checkpoint(*new_net, path), Error);
+  std::filesystem::remove(tmp);
+
+  Rng rng3(99);
+  const auto restored = make_lenet_s(rng3);
+  load_checkpoint(*restored, path);
+  const auto pa = old_net->arena().full_params();
+  const auto pb = restored->arena().full_params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) ASSERT_EQ(pa[i], pb[i]);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, GoodSaveLeavesNoTempFile) {
+  Rng rng(3);
+  const auto net = make_tiny_mlp(rng);
+  const std::string path = temp_path("notemp.dscp");
+  save_checkpoint(*net, path);
+  save_checkpoint(*net, path);  // the second save replaces an existing file
+  EXPECT_TRUE(std::filesystem::exists(path));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, RejectsTrailingBytes) {
+  Rng rng(3);
+  const auto net = make_tiny_mlp(rng);
+  const std::string path = temp_path("trailing.dscp");
+  save_checkpoint(*net, path);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.put('\0');
   }
   Rng rng2(5);
   auto victim = make_tiny_mlp(rng2);

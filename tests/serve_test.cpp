@@ -1,17 +1,24 @@
 // Serving front-end battery (DESIGN.md §12): workload generator
 // determinism and shape, batcher/admission unit behaviour, same-seed
-// bitwise determinism of full serving runs, overload shedding with bounded
-// queues, batching goodput, autoscaling, and the trace-lifecycle rollup's
-// consistency with the server's own accounting (including a Chrome-export
-// round trip).
+// bitwise determinism of full serving runs, the served answers against a
+// serial batch-1 oracle and the digest's sensitivity to them, request-pool
+// validation, overload shedding with bounded queues, batching goodput,
+// autoscaling, and the trace-lifecycle rollup's consistency with the
+// server's own accounting (including a Chrome-export round trip).
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.hpp"
 #include "nn/models.hpp"
+#include "nn/serialize.hpp"
 #include "obs/analysis/analysis.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
@@ -215,6 +222,7 @@ TEST(Serve, SameSeedRunsAreBitwiseDeterministic) {
     EXPECT_EQ(a.requests[i].outcome, b.requests[i].outcome);
     EXPECT_EQ(a.requests[i].replica, b.requests[i].replica);
     EXPECT_EQ(a.requests[i].batch_id, b.requests[i].batch_id);
+    EXPECT_EQ(a.requests[i].predicted, b.requests[i].predicted);
     ASSERT_EQ(a.requests[i].reply, b.requests[i].reply) << "request " << i;
   }
 
@@ -234,6 +242,128 @@ TEST(Serve, SameSeedRunsAreBitwiseDeterministic) {
     ASSERT_EQ(ta.vspans[i].begin, tb.vspans[i].begin) << "vspan " << i;
     ASSERT_EQ(ta.vspans[i].duration, tb.vspans[i].duration);
   }
+}
+
+// Argmax (first maximal logit) of `net`'s batch-1 forward on request id's
+// pool sample: the serial reference for a served answer.
+std::int32_t batch1_argmax(Network& net, const Dataset& pool,
+                           std::uint64_t id) {
+  const Shape sample_shape = pool.sample_shape();
+  std::vector<std::size_t> dims{1};
+  dims.insert(dims.end(), sample_shape.dims().begin(),
+              sample_shape.dims().end());
+  Tensor one{Shape(dims)};
+  const std::size_t numel = pool.sample_numel();
+  std::memcpy(one.data(), pool.images.data() + (id % pool.size()) * numel,
+              numel * sizeof(float));
+  const Tensor& logits = net.infer(one);
+  return static_cast<std::int32_t>(
+      std::max_element(logits.data(), logits.data() + logits.numel()) -
+      logits.data());
+}
+
+TEST(Serve, ServedAnswersMatchSerialBatchOneOracle) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  // Quiet spells ship partial batches; 40k rps bursts overload the two
+  // replicas (~23k rps at batch 8), and the 3 ms deadline sheds some.
+  WorkloadConfig wl;
+  wl.pattern = ArrivalPattern::kBursty;
+  wl.rate_rps = 3000.0;
+  wl.burst_rate_rps = 40000.0;
+  wl.burst_every_s = 0.02;
+  wl.burst_length_s = 0.005;
+  wl.duration_s = 0.06;
+  wl.seed = 29;
+  const std::vector<double> arrivals = generate_arrivals(wl);
+
+  ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.admission.deadline_s = 3e-3;
+  Server server(lenet_factory(77), lenet_device(), cfg);
+  const ServeResult r = server.run(arrivals, data.train);
+  ASSERT_GT(r.served, 0u);
+  ASSERT_GT(r.shed, 0u);
+  // Answers come out of coalesced batches of mixed sizes.
+  EXPECT_GT(r.mean_batch, 1.0);
+  EXPECT_LT(r.mean_batch, static_cast<double>(cfg.batch.max_batch));
+
+  const auto oracle = lenet_factory(77)();
+  std::set<std::int32_t> classes;
+  for (const RequestRecord& req : r.requests) {
+    if (req.outcome == Outcome::kServed) {
+      ASSERT_EQ(req.predicted, batch1_argmax(*oracle, data.train, req.id))
+          << "request " << req.id;
+      classes.insert(req.predicted);
+    } else {
+      ASSERT_EQ(req.predicted, -1) << "shed request " << req.id;
+    }
+  }
+  EXPECT_GE(classes.size(), 2u);  // the untrained model's answers do vary
+}
+
+// A classifier change that flips an answer must move the digest, while the
+// scheduling (outcomes, replicas, batches) stays exactly as it was.
+TEST(Serve, DigestCatchesAChangedAnswer) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  const std::vector<double> arrivals =
+      generate_arrivals(poisson(2000.0, 0.05, 11));
+  const std::string base = ::testing::TempDir() + "/serve_base.dscp";
+  const std::string raised = ::testing::TempDir() + "/serve_raised.dscp";
+
+  const auto net = lenet_factory(77)();
+  save_checkpoint(*net, base);
+  ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.checkpoint_path = base;
+  Server base_server(lenet_factory(5), lenet_device(), cfg);
+  const ServeResult a = base_server.run(arrivals, data.train);
+  ASSERT_EQ(a.requests.front().outcome, Outcome::kServed);
+
+  // LeNet's classifier is FC(64 → 10): [10 × 64] weights, then 10 biases.
+  // Raise the bias of a class request 0 does not predict until it wins.
+  constexpr std::int32_t kClasses = 10;
+  const std::int32_t target = (a.requests.front().predicted + 1) % kClasses;
+  const auto classifier =
+      net->arena().layer_params(net->arena().layer_count() - 1);
+  classifier[classifier.size() - kClasses + target] += 1e3f;
+  save_checkpoint(*net, raised);
+  cfg.checkpoint_path = raised;
+  Server raised_server(lenet_factory(5), lenet_device(), cfg);
+  const ServeResult b = raised_server.run(arrivals, data.train);
+
+  ASSERT_EQ(a.requests.size(), b.requests.size());
+  std::size_t flipped = 0;
+  for (std::size_t i = 0; i < a.requests.size(); ++i) {
+    ASSERT_EQ(a.requests[i].outcome, b.requests[i].outcome);
+    ASSERT_EQ(a.requests[i].replica, b.requests[i].replica);
+    ASSERT_EQ(a.requests[i].batch_id, b.requests[i].batch_id);
+    if (a.requests[i].predicted != b.requests[i].predicted) ++flipped;
+  }
+  EXPECT_GT(flipped, 0u);
+  EXPECT_EQ(b.requests.front().predicted, target);
+  EXPECT_NE(a.outcome_digest(), b.outcome_digest());
+  std::remove(base.c_str());
+  std::remove(raised.c_str());
+}
+
+TEST(Serve, MismatchedRequestPoolThrowsBeforeAnyWork) {
+  const TrainTest mnist = mnist_like(/*seed=*/9, /*train=*/32, /*test=*/8);
+  const TrainTest cifar = cifar_like(/*seed=*/9, /*train=*/32, /*test=*/8);
+  const std::vector<double> arrivals =
+      generate_arrivals(poisson(2000.0, 0.02, 31));
+  Server server(lenet_factory(77), lenet_device(), ServerConfig{});
+
+  const obs::Counter& requests =
+      obs::metrics().counter(obs::names::kServeRequests);
+  const std::uint64_t before = requests.value();
+  EXPECT_THROW(server.run(arrivals, cifar.train), Error);
+  EXPECT_EQ(requests.value(), before);
+
+  // The failed call left nothing behind: the same server serves a valid run.
+  const ServeResult r = server.run(arrivals, mnist.train);
+  EXPECT_EQ(r.served + r.shed, arrivals.size());
+  EXPECT_GT(r.served, 0u);
+  EXPECT_EQ(requests.value(), before + arrivals.size());
 }
 
 TEST(Serve, OverloadShedsInsteadOfQueueingUnboundedly) {
@@ -261,6 +391,8 @@ TEST(Serve, OverloadShedsInsteadOfQueueingUnboundedly) {
   // Every admitted request beats its deadline — the p99 criterion, exact.
   EXPECT_EQ(r.deadline_misses, 0u);
   EXPECT_LE(r.latency_quantile_ms(0.99), cfg.admission.deadline_s * 1e3);
+  // Timing-only runs compute no answers.
+  for (const RequestRecord& req : r.requests) ASSERT_EQ(req.predicted, -1);
 }
 
 TEST(Serve, BatchingAtLeastDoublesGoodputVsBatchOne) {
