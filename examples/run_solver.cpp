@@ -4,10 +4,12 @@
 //   ./run_solver [solver-file]
 //
 // Without an argument, an embedded default config (Hogwild EASGD on the
-// MNIST stand-in) is used. Sample configs live in examples/solvers/.
+// MNIST stand-in) is used. Sample configs live in examples/solvers/. A bad
+// config prints its error to stderr and exits with status 1.
 #include <cstdio>
 
 #include "core/solver_config.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -27,9 +29,7 @@ test_iter: 256
 seed: 1
 )";
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   ds::SolverSpec spec;
   if (argc > 1) {
     std::printf("loading solver: %s\n", argv[1]);
@@ -51,4 +51,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\nbreakdown:\n%s\n", r.ledger.report().c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const ds::Error& e) {
+    std::fprintf(stderr, "run_solver: %s\n", e.what());
+    return 1;
+  }
 }

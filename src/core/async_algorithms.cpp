@@ -10,28 +10,14 @@
 
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
+#include "core/run_harness.hpp"
 #include "data/sampler.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "tensor/ops.hpp"
 
 namespace ds {
 namespace {
-
-bool is_easgd(AsyncMethod m) {
-  return m == AsyncMethod::kAsyncEasgd || m == AsyncMethod::kAsyncMomentumEasgd ||
-         m == AsyncMethod::kHogwildEasgd;
-}
-
-bool is_lock_free(AsyncMethod m) {
-  return m == AsyncMethod::kHogwildSgd || m == AsyncMethod::kHogwildEasgd;
-}
-
-bool has_momentum(AsyncMethod m) {
-  return m == AsyncMethod::kAsyncMomentumSgd ||
-         m == AsyncMethod::kAsyncMomentumEasgd;
-}
 
 /// A center-weights snapshot pending evaluation after the threads join.
 struct Snapshot {
@@ -78,15 +64,18 @@ const char* async_method_name(AsyncMethod method) {
 }
 
 RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
-                    AsyncMethod method) {
-  return run_async(ctx, hw, method, FaultPlan::none());
-}
-
-RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
                     AsyncMethod method, const FaultPlan& faults) {
   const TrainConfig& cfg = ctx.config;
   DS_CHECK(cfg.workers > 0, "need at least one worker");
+  const EvalCadence cadence(cfg.eval_every, cfg.iterations);
   const bool faults_on = faults.active();
+  const bool easgd = method == AsyncMethod::kAsyncEasgd ||
+                     method == AsyncMethod::kAsyncMomentumEasgd ||
+                     method == AsyncMethod::kHogwildEasgd;
+  const bool lock_free = method == AsyncMethod::kHogwildSgd ||
+                         method == AsyncMethod::kHogwildEasgd;
+  const bool momentum = method == AsyncMethod::kAsyncMomentumSgd ||
+                        method == AsyncMethod::kAsyncMomentumEasgd;
 
   // Master initialisation: one replica defines W̄₀ for everybody.
   const std::unique_ptr<Network> init_net = ctx.factory();
@@ -94,16 +83,12 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   {
     const auto params = init_net->arena().full_params();
     master.center.assign(params.begin(), params.end());
-    if (has_momentum(method) && !is_easgd(method)) {
+    if (momentum && !easgd) {
       // Workers don't exist yet, but momentum is guarded: take the lock.
       const MutexLock lock(master.mutex);
       master.momentum.assign(params.size(), 0.0f);
     }
   }
-
-  const bool easgd = is_easgd(method);
-  const bool lock_free = is_lock_free(method);
-  const bool momentum = has_momentum(method);
   // Momentum multiplies the asymptotic step by 1/(1−µ); normalise so every
   // method takes comparable effective steps under the shared hyperparameters
   // (§2.4 holds the base η fixed across methods).
@@ -117,24 +102,27 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   const double gup_s = hw.gpu_update_seconds();
   const double cup_s = hw.cpu_update_seconds();
 
+  // Copy W̄ out of the master: under the FCFS lock, or racily for the
+  // Hogwild variants — by design.
+  const auto read_center = [&](std::span<float> out) {
+    if (lock_free) {
+      std::memcpy(out.data(), master.center.data(), out.size() * sizeof(float));
+      return;
+    }
+    const MutexLock lock(master.mutex);
+    std::memcpy(out.data(), master.center.data(), out.size() * sizeof(float));
+  };
+
   auto worker_fn = [&](std::size_t wid) {
     // Each simulated device gets its own rank: its ledger spans land on
     // their own virtual timeline in the exported trace.
     const obs::RankScope obs_rank(static_cast<std::int64_t>(wid));
     DS_TRACE_SPAN("algo", "async_worker");
     const std::unique_ptr<Network> net = ctx.factory();
-    {
-      // All workers start from W̄₀. Another worker may already be inside a
-      // center update by the time this thread launches, so the locked
-      // variants must take the FCFS lock even for the initial read (the
-      // Hogwild variants read racily by design, as everywhere else).
-      if (lock_free) {
-        copy(master.center, net->arena().full_params());
-      } else {
-        const MutexLock lock(master.mutex);
-        copy(master.center, net->arena().full_params());
-      }
-    }
+    // All workers start from W̄₀. Another worker may already be inside a
+    // center update by the time this thread launches, so the locked
+    // variants take the FCFS lock even for the initial read.
+    read_center(net->arena().full_params());
     BatchSampler sampler(*ctx.train, cfg.batch_size, cfg.seed * 104729 + wid);
     Tensor batch;
     std::vector<std::int32_t> labels;
@@ -165,15 +153,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
         // Elastic worker: the gradient is taken at the LOCAL weights, so
         // the W̄ pull overlaps with compute (prefetch); the elastic pull is
         // applied after.
-        if (lock_free) {
-          // Hogwild: racy read of the center — by design.
-          std::memcpy(center_copy.data(), master.center.data(),
-                      center_copy.size() * sizeof(float));
-        } else {
-          const MutexLock lock(master.mutex);
-          std::memcpy(center_copy.data(), master.center.data(),
-                      center_copy.size() * sizeof(float));
-        }
+        read_center(center_copy);
         net->zero_grads();
         net->forward_backward(batch, labels);
         wclock += (data_s + std::max(fb_s, hop)) * slow;
@@ -206,14 +186,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
       } else {
         // Parameter-server SGD: pull W̄, compute the gradient AT W̄, push
         // the gradient. The pull is a strict dependency — no overlap.
-        if (lock_free) {
-          std::memcpy(net->arena().full_params().data(), master.center.data(),
-                      center_copy.size() * sizeof(float));
-        } else {
-          const MutexLock lock(master.mutex);
-          std::memcpy(net->arena().full_params().data(), master.center.data(),
-                      center_copy.size() * sizeof(float));
-        }
+        read_center(net->arena().full_params());
         net->zero_grads();
         net->forward_backward(batch, labels);
         wclock += (data_s + hop + fb_s) * slow;
@@ -239,29 +212,19 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
       // charged amounts are the unscaled §2.4 costs, so the tiling is an
       // attribution of the interaction, not a replay of the wclock
       // arithmetic — the rollup still sums to the ledger exactly.
-      double tc = wclock - (data_s + 2.0 * hop + fb_s + cup_s);
-      tc += data_s;
-      local_ledger.charge_traced(Phase::kCpuGpuDataComm, data_s, tc);
-      tc += 2.0 * hop;
-      local_ledger.charge_traced(Phase::kCpuGpuParamComm, 2.0 * hop, tc);
-      tc += fb_s;
-      local_ledger.charge_traced(Phase::kForwardBackward, fb_s, tc);
-      tc += cup_s;
-      local_ledger.charge_traced(Phase::kCpuUpdate, cup_s, tc);
+      const double start = wclock - (data_s + 2.0 * hop + fb_s + cup_s);
+      ChargeChain c{local_ledger, start, start};
+      c.then(Phase::kCpuGpuDataComm, data_s);
+      c.then(Phase::kCpuGpuParamComm, 2.0 * hop);
+      c.then(Phase::kForwardBackward, fb_s);
+      c.then(Phase::kCpuUpdate, cup_s);
 
-      if (iter % cfg.eval_every == 0 || iter == cfg.iterations) {
+      if (cadence.due(iter)) {
         Snapshot snap;
         snap.iteration = iter;
         snap.vtime = wclock;
         snap.weights.resize(master.center.size());
-        if (lock_free) {
-          std::memcpy(snap.weights.data(), master.center.data(),
-                      snap.weights.size() * sizeof(float));
-        } else {
-          const MutexLock lock(master.mutex);
-          std::memcpy(snap.weights.data(), master.center.data(),
-                      snap.weights.size() * sizeof(float));
-        }
+        read_center(snap.weights);
         const MutexLock lock(master.trace_mutex);
         master.snapshots.push_back(std::move(snap));
       }
@@ -306,8 +269,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     p.vtime = vtime_monotone;
     res.trace.push_back(p);
   }
-  res.total_seconds = vtime_monotone;
-  res.iterations = master.completed.load();
+  finish_run(res, vtime_monotone, master.completed.load());
   res.workers = cfg.workers;
   res.workers_survived = cfg.workers - master.crashed.load();
   if (res.workers_survived < res.workers) {
@@ -322,18 +284,8 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     res.abort_reason = os.str();
   }
   res.final_params.assign(master.center.begin(), master.center.end());
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
   // Packed W̄ pull + push per interaction across the host link.
-  res.messages_sent = 2 * res.iterations;
-  res.bytes_sent = static_cast<std::uint64_t>(
-      2.0 * hw.model().weight_bytes * static_cast<double>(res.iterations));
-  obs::metrics()
-      .counter(obs::names::kCommMessagesModeled)
-      .add(res.messages_sent);
-  obs::metrics().counter(obs::names::kCommBytesModeled).add(res.bytes_sent);
+  record_modeled_wire(res, 2.0, 2.0 * hw.model().weight_bytes);
   return res;
 }
 

@@ -40,19 +40,16 @@ enum class AsyncMethod {
 
 const char* async_method_name(AsyncMethod method);
 
-RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
-                    AsyncMethod method);
-
-/// Fault-aware variant. The async family degrades gracefully: a worker
-/// whose virtual clock crosses its scheduled crash time stops at the next
+/// Fault semantics: the async family degrades gracefully. A worker whose
+/// virtual clock crosses its scheduled crash time stops at the next
 /// iteration boundary and the survivors absorb the remaining interaction
 /// budget (the FCFS ticket queue redistributes work automatically);
 /// straggler factors slow the affected worker's virtual clock. The result
 /// records the surviving worker count and the interactions actually
 /// completed; if the crashes leave the budget unfinished (every worker
-/// died), RunResult::aborted is set. An inactive plan reproduces
-/// run_async() exactly.
+/// died), RunResult::aborted is set. An inactive plan is behavior-neutral.
 RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
-                    AsyncMethod method, const FaultPlan& faults);
+                    AsyncMethod method,
+                    const FaultPlan& faults = FaultPlan::none());
 
 }  // namespace ds

@@ -8,6 +8,7 @@
 #include "comm/fabric.hpp"
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
+#include "core/run_harness.hpp"
 #include "data/sampler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor/monitor.hpp"
@@ -116,6 +117,7 @@ class FabricRun {
         spmd(topology == Topology::kSpmd),
         workers(ctx.config.workers),
         ranks(spmd ? workers : workers + 1),
+        cadence(cfg.eval_every, cfg.iterations),
         fabric(ranks, cluster.network, cluster.faults),
         fb_s(static_cast<double>(cfg.batch_size) *
              cluster.model.flops_per_sample / cluster.node_flops),
@@ -139,6 +141,7 @@ class FabricRun {
   const bool spmd;
   const std::size_t workers;
   const std::size_t ranks;
+  const EvalCadence cadence;  // checked before the fabric is built
   Fabric fabric;
   // Per-iteration local costs charged to each rank's fabric clock; the
   // communication costs come from the fabric itself, message by message.
@@ -151,7 +154,7 @@ class FabricRun {
   /// Rank 0: round t's center step is done; probe on the eval cadence.
   void round_done(std::size_t t) {
     completed_ = t;
-    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
+    if (cadence.due(t)) {
       probes_.push_back(Probe{t, fabric.clock(0), center});
     }
   }
@@ -180,7 +183,6 @@ class FabricRun {
       res.abort_reason = abort_.reason;
     }
     res.aborted = !res.abort_reason.empty();
-    res.iterations = res.aborted ? completed_ : cfg.iterations;
     res.final_params = std::move(center);
     Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
     for (const Probe& probe : probes_) {
@@ -189,11 +191,8 @@ class FabricRun {
       p.vtime = probe.vtime;
       res.trace.push_back(p);
     }
-    res.total_seconds = fabric.max_clock();
-    if (!res.trace.empty()) {
-      res.final_accuracy = res.trace.back().accuracy;
-      res.final_loss = res.trace.back().loss;
-    }
+    finish_run(res, fabric.max_clock(),
+               res.aborted ? completed_ : cfg.iterations);
     // The measured clock deltas ARE the breakdown, summed in rank order.
     for (const CostLedger& ledger : ledgers_) res.ledger += ledger;
     // Wire totals are the fabric metric deltas over the run (runs are

@@ -10,7 +10,7 @@
 namespace ds {
 
 ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
-                       const SamplerSeed& sampler_seed) {
+                       std::uint64_t first_seed) {
   DS_CHECK(count > 0, "need at least one worker");
   nets_.reserve(count);
   inputs_.reserve(count);
@@ -18,7 +18,7 @@ ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
     nets_.push_back(ctx.factory());
     if (i > 0) nets_[i]->copy_params_from(*nets_[0]);
     inputs_.push_back(
-        Input{BatchSampler(*ctx.train, ctx.config.batch_size, sampler_seed(i)),
+        Input{BatchSampler(*ctx.train, ctx.config.batch_size, first_seed + i),
               Tensor(), {}});
   }
   threads_ = std::min<std::size_t>(

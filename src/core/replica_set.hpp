@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -17,11 +16,9 @@ namespace ds {
 
 class ReplicaSet {
  public:
-  /// Batch-sampler seed of replica i; each runner keeps its own formula.
-  using SamplerSeed = std::function<std::uint64_t(std::size_t replica)>;
-
+  /// Replica i's batch sampler is seeded `first_seed + i`.
   ReplicaSet(const AlgoContext& ctx, std::size_t count,
-             const SamplerSeed& sampler_seed);
+             std::uint64_t first_seed);
 
   std::size_t size() const { return nets_.size(); }
   Network& net(std::size_t j) { return *nets_[j]; }

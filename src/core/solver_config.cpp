@@ -124,6 +124,8 @@ SolverSpec parse_solver(const std::string& text) {
       spec.train.rho = static_cast<float>(parse_number(value, line_no));
     } else if (key == "test_interval") {
       spec.train.eval_every = parse_count(value, line_no);
+      DS_CHECK(spec.train.eval_every > 0,
+               "solver line " << line_no << ": test_interval must be >= 1");
     } else if (key == "test_iter") {
       spec.train.eval_samples = parse_count(value, line_no);
     } else if (key == "seed") {

@@ -3,6 +3,10 @@
 // must actually climb.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "core/fabric_algorithms.hpp"
 #include "core/knl_algorithms.hpp"
 #include "core/methods.hpp"
 #include "data/dataset.hpp"
@@ -364,6 +368,92 @@ TEST(KnlPartition, MorePartitionsReachTargetFasterUntilCapacity) {
   }
   // Past MCDRAM capacity the per-round time explodes (Figure 12's limit).
   EXPECT_GT(p32.round_seconds, p4.round_seconds);
+}
+
+// ----------------------------- Shared harness --------------------------------
+
+TEST(ModeledRunners, CleanRunsFillWorkersIterationsAndFinalParams) {
+  Fixture f;
+  f.ctx.config.iterations = 6;
+  f.ctx.config.eval_every = 4;
+  const std::size_t params = f.ctx.factory()->param_count();
+  ClusterTiming timing;
+  timing.model = paper_lenet();
+  KnlPartitionConfig pcfg;
+  pcfg.parts = 2;
+  pcfg.paper_model = paper_alexnet();
+  pcfg.max_rounds = 5;
+  pcfg.target_accuracy = 2.0;  // never reached: all five rounds run
+  const KnlChip chip;
+  struct Case {
+    RunResult run;
+    std::size_t workers;
+    std::size_t iterations;
+  };
+  const Case cases[] = {
+      {run_original_easgd(f.ctx, f.hw, OriginalVariant::kOverlapped), 3, 6},
+      {run_sync_easgd(f.ctx, f.hw, SyncEasgdVariant::kEasgd3), 3, 6},
+      {run_sync_sgd(f.ctx, f.hw), 3, 6},
+      {run_cluster_sync_easgd(f.ctx, timing), 3, 6},
+      {run_knl_partition(f.ctx, chip, pcfg).run, 2, 5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.run.method);
+    EXPECT_EQ(c.run.workers, c.workers);
+    EXPECT_EQ(c.run.workers_survived, c.workers);
+    EXPECT_EQ(c.run.iterations, c.iterations);
+    EXPECT_EQ(c.run.final_params.size(), params);
+    EXPECT_FALSE(c.run.degraded());
+  }
+}
+
+void expect_zero_cadence_rejected(const std::function<void()>& run) {
+  try {
+    run();
+    ADD_FAILURE() << "expected a ds::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("eval_every"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(EvalCadence, ZeroEvalEveryIsAnErrorForEveryRunner) {
+  Fixture f;
+  f.ctx.config.iterations = 4;
+  f.ctx.config.eval_every = 0;
+  ClusterTiming timing;
+  timing.model = paper_lenet();
+  KnlPartitionConfig pcfg;
+  pcfg.paper_model = paper_alexnet();
+  pcfg.max_rounds = 4;
+  const KnlChip chip;
+  expect_zero_cadence_rejected([&] {
+    run_original_easgd(f.ctx, f.hw, OriginalVariant::kOverlapped);
+  });
+  expect_zero_cadence_rejected(
+      [&] { run_sync_easgd(f.ctx, f.hw, SyncEasgdVariant::kEasgd3); });
+  expect_zero_cadence_rejected([&] { run_sync_sgd(f.ctx, f.hw); });
+  expect_zero_cadence_rejected(
+      [&] { run_cluster_sync_easgd(f.ctx, timing); });
+  expect_zero_cadence_rejected(
+      [&] { run_knl_partition(f.ctx, chip, pcfg); });
+  for (const AsyncMethod m :
+       {AsyncMethod::kAsyncSgd, AsyncMethod::kAsyncMomentumSgd,
+        AsyncMethod::kAsyncEasgd, AsyncMethod::kAsyncMomentumEasgd,
+        AsyncMethod::kHogwildSgd, AsyncMethod::kHogwildEasgd}) {
+    SCOPED_TRACE(async_method_name(m));
+    expect_zero_cadence_rejected([&] { run_async(f.ctx, f.hw, m); });
+  }
+  AlgoContext bucketed = f.ctx;
+  bucketed.config.bucketing.bucket_bytes = 2048;
+  const FabricClusterConfig cluster;
+  expect_zero_cadence_rejected([&] { run_fabric_easgd(f.ctx, cluster); });
+  expect_zero_cadence_rejected(
+      [&] { run_fabric_async_easgd(f.ctx, cluster); });
+  expect_zero_cadence_rejected(
+      [&] { run_fabric_bucketed_easgd(bucketed, cluster); });
+  expect_zero_cadence_rejected(
+      [&] { run_fabric_round_robin_easgd(f.ctx, cluster); });
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// The modeled runners (Sync EASGD, Sync SGD, cluster Sync EASGD) compute
-// their workers' gradients concurrently from the second round on. These
-// tests pin that down three ways: (a) against a hand-rolled serial
-// reference built from the public API, bit for bit; (b) a conv kernel
-// pinned on the caller's kernel_config() is the one the workers run; and
-// (c) repeated runs — also with intra-GEMM threading on the caller — are
-// bit-identical.
+// The modeled runners (Sync EASGD, Sync SGD, cluster Sync EASGD, KNL
+// partition) compute their workers' gradients concurrently from the second
+// round on. These tests pin that down three ways: (a) against a hand-rolled
+// serial reference built from the public API, bit for bit; (b) a conv
+// kernel pinned on the caller's kernel_config() is the one the workers run;
+// and (c) repeated runs — also with intra-GEMM threading on the caller —
+// are bit-identical.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -149,9 +149,11 @@ Reference serial_easgd(const AlgoContext& ctx,
   return ref;
 }
 
-Reference serial_sgd(const AlgoContext& ctx) {
+Reference serial_sgd(const AlgoContext& ctx,
+                     const std::function<std::uint64_t(std::size_t)>& seed,
+                     float lr_scale) {
   const TrainConfig& cfg = ctx.config;
-  SerialWorkers w(ctx, [&](std::size_t i) { return cfg.seed * 7919 + i + 1; });
+  SerialWorkers w(ctx, seed);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
   const float inv = 1.0f / static_cast<float>(cfg.workers);
   Reference ref;
@@ -170,7 +172,7 @@ Reference serial_sgd(const AlgoContext& ctx) {
     for (auto& net : w.nets) {
       for (std::size_t l = 0; l < net->arena().layer_count(); ++l) {
         sgd_step(net->arena().layer_params(l), net->arena().layer_grads(l),
-                 cfg.lr_at(t));
+                 cfg.lr_at(t) * lr_scale);
       }
     }
     TracePoint p = eval.evaluate(w.nets[0]->arena());
@@ -235,7 +237,8 @@ TEST(ReplicaParallel, SyncEasgdMatchesSerialReference) {
 
 TEST(ReplicaParallel, SyncSgdMatchesSerialReference) {
   Fixture f;
-  const Reference ref = serial_sgd(f.ctx);
+  const Reference ref = serial_sgd(
+      f.ctx, [&](std::size_t i) { return sync_seed(f.ctx, i); }, 1.0f);
   const RunResult r = run_sync_sgd(f.ctx, f.hw);
   expect_bitwise(r.final_params, ref.final_params, "Sync SGD");
   expect_trace_bitwise(r.trace, ref.trace, "Sync SGD");
@@ -249,6 +252,21 @@ TEST(ReplicaParallel, ClusterSyncEasgdMatchesSerialReference) {
   const RunResult r = run_cluster_sync_easgd(f.ctx, f.timing);
   expect_bitwise(r.final_params, ref.final_params, "cluster Sync EASGD");
   expect_trace_bitwise(r.trace, ref.trace, "cluster Sync EASGD");
+}
+
+TEST(ReplicaParallel, KnlPartitionMatchesSerialReference) {
+  Fixture f;
+  KnlPartitionConfig pcfg;
+  pcfg.parts = kWorkers;
+  pcfg.max_rounds = kRounds;
+  pcfg.target_accuracy = 2.0;  // never reached: every round runs
+  pcfg.paper_model = paper_alexnet();
+  const Reference ref = serial_sgd(
+      f.ctx, [&](std::size_t i) { return f.ctx.config.seed * 15485863 + i; },
+      static_cast<float>(kWorkers));  // scale_lr_with_parts
+  const KnlPartitionResult r = run_knl_partition(f.ctx, KnlChip{}, pcfg);
+  expect_bitwise(r.run.final_params, ref.final_params, "KNL partition");
+  expect_trace_bitwise(r.run.trace, ref.trace, "KNL partition");
 }
 
 // (b) ------------------------------------------------------------------------

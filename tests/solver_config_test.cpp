@@ -75,6 +75,16 @@ TEST(SolverParse, BadLrPolicyRejectedWithLineNumber) {
   }
 }
 
+TEST(SolverParse, ZeroTestIntervalRejectedWithLineNumber) {
+  try {
+    parse_solver("workers: 2\ntest_interval: 0\n");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("test_interval"), std::string::npos);
+  }
+}
+
 TEST(SolverParse, EmptyTextGivesDefaults) {
   const SolverSpec spec = parse_solver("");
   EXPECT_EQ(spec.method, "sync_easgd3");
