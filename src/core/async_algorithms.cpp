@@ -67,7 +67,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
                     AsyncMethod method, const FaultPlan& faults) {
   const TrainConfig& cfg = ctx.config;
   DS_CHECK(cfg.workers > 0, "need at least one worker");
-  const EvalCadence cadence(cfg.eval_every, cfg.iterations);
+  const EvalCadence cadence(ctx, cfg.iterations);
   const bool faults_on = faults.active();
   const bool easgd = method == AsyncMethod::kAsyncEasgd ||
                      method == AsyncMethod::kAsyncMomentumEasgd ||

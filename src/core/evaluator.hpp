@@ -1,8 +1,12 @@
-// Test-set evaluation of a candidate weight vector. Owns one scratch
-// network replica; callers hand it center weights (as a ParamArena or a raw
-// packed span) and get test loss/accuracy back. Evaluation happens outside
-// the virtual-time ledger — the paper's timings measure training, with
-// accuracy probed by separate test passes.
+// Test-set evaluation of a candidate weight vector. Every probe reads the
+// first min(eval_samples, test.size()) test samples and reduces their
+// logits through reduce_logits, so a trace point is the same bits whoever
+// computed the logits: the modeled runners infer them on their idle worker
+// replicas (ReplicaSet::probe, DESIGN.md §7), while the fabric and async
+// runners and the benches hand weights to an Evaluator, which owns one
+// scratch network replica. Evaluation happens outside the virtual-time
+// ledger — the paper's timings measure training, with accuracy probed by
+// separate test passes.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +19,12 @@
 #include "nn/network.hpp"
 
 namespace ds {
+
+/// Test loss and accuracy from the logits (rows × classes) of test rows
+/// [0, rows) and their labels: softmax cross-entropy over fixed 64-row
+/// chunks, each chunk's mean loss weighted by its row count.
+TracePoint reduce_logits(const Tensor& logits,
+                         std::span<const std::int32_t> labels);
 
 class Evaluator {
  public:
@@ -29,16 +39,18 @@ class Evaluator {
   /// Loss/accuracy of packed weights (must match the scratch net's size).
   TracePoint evaluate_packed(std::span<const float> weights);
 
-  std::size_t sample_count() const { return indices_.size(); }
+  std::size_t sample_count() const { return rows_; }
 
  private:
   TracePoint run_eval();
 
   std::unique_ptr<Network> net_;
   const Dataset& test_;
-  std::vector<std::size_t> indices_;
+  std::size_t rows_;
+  std::vector<std::size_t> chunk_;
   Tensor batch_;
   std::vector<std::int32_t> labels_;
+  Tensor logits_;
 };
 
 }  // namespace ds

@@ -117,7 +117,7 @@ class FabricRun {
         spmd(topology == Topology::kSpmd),
         workers(ctx.config.workers),
         ranks(spmd ? workers : workers + 1),
-        cadence(cfg.eval_every, cfg.iterations),
+        cadence(ctx, cfg.iterations),
         fabric(ranks, cluster.network, cluster.faults),
         fb_s(static_cast<double>(cfg.batch_size) *
              cluster.model.flops_per_sample / cluster.node_flops),

@@ -11,9 +11,13 @@
 
 namespace ds {
 
-EvalCadence::EvalCadence(std::size_t every, std::size_t last)
-    : every_(every), last_(last) {
-  DS_CHECK(every > 0, "eval_every must be at least 1");
+EvalCadence::EvalCadence(const AlgoContext& ctx, std::size_t last)
+    : every_(ctx.config.eval_every), last_(last) {
+  DS_CHECK(every_ > 0, "eval_every must be at least 1");
+  DS_CHECK(ctx.config.batch_size > 0, "batch_size must be at least 1");
+  DS_CHECK(ctx.config.eval_samples > 0, "eval_samples must be at least 1");
+  DS_CHECK(ctx.test != nullptr && ctx.test->size() > 0,
+           "the test set is empty");
 }
 
 void finish_run(RunResult& res, double total_seconds, std::size_t iterations) {
@@ -42,10 +46,9 @@ ModeledRun::ModeledRun(const AlgoContext& ctx, const char* span,
                        Model model, std::size_t last, const FaultPlan& faults)
     : rank_(0),  // modeled runs live on a single virtual timeline
       span_("algo", span),
-      cadence_(ctx.config.eval_every, last),
+      cadence_(ctx, last),
       cfg(ctx.config),
       replicas(ctx, count, first_seed),
-      eval_(ctx.factory, *ctx.test, cfg.eval_samples),
       model_(model) {
   if (model == Model::kCenter) {
     const auto p0 = replicas.net(0).arena().full_params();
@@ -85,9 +88,9 @@ const TracePoint* ModeledRun::round_done(std::size_t t, double seconds) {
 }
 
 void ModeledRun::probe(std::size_t t) {
-  TracePoint p = model_ == Model::kCenter
-                     ? eval_.evaluate_packed(center)
-                     : eval_.evaluate(replicas.net(0).arena());
+  TracePoint p = replicas.probe(model_ == Model::kCenter
+                                    ? std::span<const float>(center)
+                                    : std::span<const float>());
   p.iteration = t;
   p.vtime = vtime;
   res.trace.push_back(p);

@@ -12,19 +12,21 @@
 
 #include "comm/fault.hpp"
 #include "core/context.hpp"
-#include "core/evaluator.hpp"
 #include "core/replica_set.hpp"
 #include "core/run_result.hpp"
 #include "obs/trace.hpp"
 
 namespace ds {
 
-/// When a run probes its center: every `every` iterations and at the last.
-/// Built before any work starts, so a zero cadence is a ds::Error for the
-/// caller rather than a division by zero mid-run.
+/// When a run probes its center: every `eval_every` iterations and at
+/// `last`. Built at a runner's entry, before any thread or replica starts,
+/// it also checks the counts the run divides by or sizes batches with:
+/// eval_every, batch_size and eval_samples must be at least 1 and the test
+/// set non-empty, or the caller gets a ds::Error rather than a division by
+/// zero mid-run or an exception inside a worker thread.
 class EvalCadence {
  public:
-  EvalCadence(std::size_t every, std::size_t last);
+  EvalCadence(const AlgoContext& ctx, std::size_t last);
   bool due(std::size_t t) const { return t % every_ == 0 || t == last_; }
 
  private:
@@ -56,11 +58,11 @@ struct ChargeChain {
 };
 
 /// The harness of the modeled runners. It owns the rank-0 timeline and the
-/// `algo` span, the replicas and the evaluator, the sync family's reading
-/// of a FaultPlan (one straggler gates every round, and the earliest
-/// scheduled crash ends the run) with its crash-abort path, the clock, the
-/// eval cadence and the RunResult. A runner supplies its math and its
-/// per-round costs:
+/// `algo` span, the replicas (which also run the probes), the sync family's
+/// reading of a FaultPlan (one straggler gates every round, and the
+/// earliest scheduled crash ends the run) with its crash-abort path, the
+/// clock, the eval cadence and the RunResult. A runner supplies its math
+/// and its per-round costs:
 ///
 ///   for (std::size_t t = 1; t <= last && run.survives(t, seconds); ++t) {
 ///     ...math...;  ChargeChain c = run.chain();  c.then(...);
@@ -127,7 +129,6 @@ class ModeledRun {
  private:
   void probe(std::size_t t);
 
-  Evaluator eval_;
   const Model model_;
   double crash_horizon_ = kNeverCrashes;
   std::size_t crash_worker_ = 0;

@@ -42,6 +42,15 @@ std::size_t parse_count(const std::string& value, std::size_t line) {
   return static_cast<std::size_t>(parsed);
 }
 
+/// A count that a run divides by or sizes a batch with: zero is an error.
+std::size_t parse_positive(const std::string& value, std::size_t line,
+                           const std::string& key) {
+  const std::size_t parsed = parse_count(value, line);
+  DS_CHECK(parsed > 0,
+           "solver line " << line << ": " << key << " must be >= 1");
+  return parsed;
+}
+
 }  // namespace
 
 std::vector<std::string> solver_methods() {
@@ -96,7 +105,7 @@ SolverSpec parse_solver(const std::string& text) {
     } else if (key == "max_iter") {
       spec.train.iterations = parse_count(value, line_no);
     } else if (key == "batch_size") {
-      spec.train.batch_size = parse_count(value, line_no);
+      spec.train.batch_size = parse_positive(value, line_no, key);
     } else if (key == "base_lr") {
       spec.train.learning_rate = static_cast<float>(parse_number(value, line_no));
     } else if (key == "momentum") {
@@ -123,11 +132,9 @@ SolverSpec parse_solver(const std::string& text) {
     } else if (key == "rho") {
       spec.train.rho = static_cast<float>(parse_number(value, line_no));
     } else if (key == "test_interval") {
-      spec.train.eval_every = parse_count(value, line_no);
-      DS_CHECK(spec.train.eval_every > 0,
-               "solver line " << line_no << ": test_interval must be >= 1");
+      spec.train.eval_every = parse_positive(value, line_no, key);
     } else if (key == "test_iter") {
-      spec.train.eval_samples = parse_count(value, line_no);
+      spec.train.eval_samples = parse_positive(value, line_no, key);
     } else if (key == "seed") {
       spec.train.seed = parse_count(value, line_no);
     } else if (key == "layout") {

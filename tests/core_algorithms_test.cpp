@@ -407,53 +407,80 @@ TEST(ModeledRunners, CleanRunsFillWorkersIterationsAndFinalParams) {
   }
 }
 
-void expect_zero_cadence_rejected(const std::function<void()>& run) {
-  try {
-    run();
-    ADD_FAILURE() << "expected a ds::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("eval_every"), std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(EvalCadence, ZeroEvalEveryIsAnErrorForEveryRunner) {
-  Fixture f;
-  f.ctx.config.iterations = 4;
-  f.ctx.config.eval_every = 0;
+/// Every runner — five modeled, six async, four fabric — rejects `ctx`
+/// with a ds::Error naming `what`, before any worker thread could throw.
+void expect_every_runner_rejects(const AlgoContext& ctx, const GpuSystem& hw,
+                                 const std::string& what) {
+  const auto expect_rejected = [&](const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected a ds::Error naming " << what;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
   ClusterTiming timing;
   timing.model = paper_lenet();
   KnlPartitionConfig pcfg;
   pcfg.paper_model = paper_alexnet();
   pcfg.max_rounds = 4;
   const KnlChip chip;
-  expect_zero_cadence_rejected([&] {
-    run_original_easgd(f.ctx, f.hw, OriginalVariant::kOverlapped);
-  });
-  expect_zero_cadence_rejected(
-      [&] { run_sync_easgd(f.ctx, f.hw, SyncEasgdVariant::kEasgd3); });
-  expect_zero_cadence_rejected([&] { run_sync_sgd(f.ctx, f.hw); });
-  expect_zero_cadence_rejected(
-      [&] { run_cluster_sync_easgd(f.ctx, timing); });
-  expect_zero_cadence_rejected(
-      [&] { run_knl_partition(f.ctx, chip, pcfg); });
+  expect_rejected(
+      [&] { run_original_easgd(ctx, hw, OriginalVariant::kOverlapped); });
+  expect_rejected(
+      [&] { run_sync_easgd(ctx, hw, SyncEasgdVariant::kEasgd3); });
+  expect_rejected([&] { run_sync_sgd(ctx, hw); });
+  expect_rejected([&] { run_cluster_sync_easgd(ctx, timing); });
+  expect_rejected([&] { run_knl_partition(ctx, chip, pcfg); });
   for (const AsyncMethod m :
        {AsyncMethod::kAsyncSgd, AsyncMethod::kAsyncMomentumSgd,
         AsyncMethod::kAsyncEasgd, AsyncMethod::kAsyncMomentumEasgd,
         AsyncMethod::kHogwildSgd, AsyncMethod::kHogwildEasgd}) {
     SCOPED_TRACE(async_method_name(m));
-    expect_zero_cadence_rejected([&] { run_async(f.ctx, f.hw, m); });
+    expect_rejected([&] { run_async(ctx, hw, m); });
   }
-  AlgoContext bucketed = f.ctx;
+  AlgoContext bucketed = ctx;
   bucketed.config.bucketing.bucket_bytes = 2048;
   const FabricClusterConfig cluster;
-  expect_zero_cadence_rejected([&] { run_fabric_easgd(f.ctx, cluster); });
-  expect_zero_cadence_rejected(
-      [&] { run_fabric_async_easgd(f.ctx, cluster); });
-  expect_zero_cadence_rejected(
-      [&] { run_fabric_bucketed_easgd(bucketed, cluster); });
-  expect_zero_cadence_rejected(
-      [&] { run_fabric_round_robin_easgd(f.ctx, cluster); });
+  expect_rejected([&] { run_fabric_easgd(ctx, cluster); });
+  expect_rejected([&] { run_fabric_async_easgd(ctx, cluster); });
+  expect_rejected([&] { run_fabric_bucketed_easgd(bucketed, cluster); });
+  expect_rejected([&] { run_fabric_round_robin_easgd(ctx, cluster); });
+}
+
+TEST(EvalCadence, ZeroEvalEveryIsAnErrorForEveryRunner) {
+  Fixture f;
+  f.ctx.config.iterations = 4;
+  f.ctx.config.eval_every = 0;
+  expect_every_runner_rejects(f.ctx, f.hw, "eval_every");
+}
+
+TEST(EvalCadence, ZeroCountsAndAnEmptyTestSetAreErrorsForEveryRunner) {
+  // Each used to surface only mid-run: a zero batch inside an async worker
+  // thread (std::terminate), a zero probe or an empty test set after the
+  // whole fabric or async run.
+  Fixture f;
+  f.ctx.config.iterations = 4;
+  {
+    SCOPED_TRACE("batch_size 0");
+    AlgoContext ctx = f.ctx;
+    ctx.config.batch_size = 0;
+    expect_every_runner_rejects(ctx, f.hw, "batch_size");
+  }
+  {
+    SCOPED_TRACE("eval_samples 0");
+    AlgoContext ctx = f.ctx;
+    ctx.config.eval_samples = 0;
+    expect_every_runner_rejects(ctx, f.hw, "eval_samples");
+  }
+  {
+    SCOPED_TRACE("empty test set");
+    const Dataset empty;
+    AlgoContext ctx = f.ctx;
+    ctx.test = &empty;
+    expect_every_runner_rejects(ctx, f.hw, "test set is empty");
+  }
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // The modeled runners (Sync EASGD, Sync SGD, cluster Sync EASGD, KNL
 // partition) compute their workers' gradients concurrently from the second
-// round on. These tests pin that down three ways: (a) against a hand-rolled
-// serial reference built from the public API, bit for bit; (b) a conv
+// round on, and probe the test set on those worker replicas. These tests
+// pin that down four ways: (a) against a hand-rolled serial reference built
+// from the public API (a serial Evaluator probes), bit for bit; (b) a conv
 // kernel pinned on the caller's kernel_config() is the one the workers run;
-// and (c) repeated runs — also with intra-GEMM threading on the caller —
-// are bit-identical.
+// (c) repeated runs — also with intra-GEMM threading on the caller — are
+// bit-identical; and (d) the probe's edge cases — rows that fill neither a
+// batch nor a 64-row chunk, more workers than hardware threads, a probe
+// before any gradient step, per-layer arenas — still match (a).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "comm/collectives.hpp"
@@ -33,9 +37,9 @@ constexpr std::size_t kRounds = 3;
 
 /// Conv (direct at 12×12 under kAuto) → LRN → pool → conv (im2col at 6×6)
 /// → dense → Dropout → dense: every layer kind with per-replica state.
-std::unique_ptr<Network> make_model() {
+std::unique_ptr<Network> make_model(PackMode pack = PackMode::kPacked) {
   Rng rng(23);
-  auto net = std::make_unique<Network>(Shape{2, 12, 12});
+  auto net = std::make_unique<Network>(Shape{2, 12, 12}, pack);
   net->add(std::make_unique<Conv2D>(2, 4, 3, 1, 1));
   net->add(std::make_unique<ReLU>());
   net->add(std::make_unique<LocalResponseNorm>(3));
@@ -70,11 +74,11 @@ struct Fixture {
     spec.height = 12;
     spec.width = 12;
     spec.train_count = 96;
-    spec.test_count = 32;
+    spec.test_count = 128;
     spec.noise = 0.8;
     spec.seed = 5;
     data = make_synthetic(spec);
-    ctx.factory = make_model;
+    ctx.factory = [] { return make_model(); };
     ctx.train = &data.train;
     ctx.test = &data.test;
     ctx.config.workers = kWorkers;
@@ -179,8 +183,13 @@ Reference serial_sgd(const AlgoContext& ctx,
     p.iteration = t;
     ref.trace.push_back(p);
   }
-  const auto params = w.nets[0]->arena().full_params();
-  ref.final_params.assign(params.begin(), params.end());
+  // Layer by layer: a per-layer arena has no packed view.
+  const ParamArena& arena = w.nets[0]->arena();
+  for (std::size_t l = 0; l < arena.layer_count(); ++l) {
+    const auto params = arena.layer_params(l);
+    ref.final_params.insert(ref.final_params.end(), params.begin(),
+                            params.end());
+  }
   return ref;
 }
 
@@ -324,6 +333,85 @@ TEST(ReplicaParallel, RepeatedRunsAreBitIdentical) {
     expect_runs_identical(again[i], first[i], first[i].method.c_str());
     expect_runs_identical(threaded[i], first[i], first[i].method.c_str());
   }
+}
+
+// (d) ------------------------------------------------------------------------
+
+void expect_sync_runs_match_serial(const AlgoContext& ctx,
+                                   const GpuSystem& hw) {
+  const auto seed = [&](std::size_t i) { return sync_seed(ctx, i); };
+  const Reference easgd = serial_easgd(ctx, seed);
+  const RunResult e = run_sync_easgd(ctx, hw, SyncEasgdVariant::kEasgd3);
+  expect_bitwise(e.final_params, easgd.final_params, "Sync EASGD3");
+  expect_trace_bitwise(e.trace, easgd.trace, "Sync EASGD3");
+  const Reference sgd = serial_sgd(ctx, seed, 1.0f);
+  const RunResult s = run_sync_sgd(ctx, hw);
+  expect_bitwise(s.final_params, sgd.final_params, "Sync SGD");
+  expect_trace_bitwise(s.trace, sgd.trace, "Sync SGD");
+}
+
+TEST(ReplicaProbe, RowsFillingNeitherABatchNorAChunkMatchSerial) {
+  // 50 rows: shares of 17/17/16 in batches of 3 with a short last batch,
+  // all inside one 64-row chunk. 100 rows: a chunk boundary inside replica
+  // 1's share, and a short last chunk.
+  for (const std::size_t rows : {50u, 100u}) {
+    SCOPED_TRACE(rows);
+    Fixture f;
+    f.ctx.config.batch_size = 3;
+    f.ctx.config.eval_samples = rows;
+    expect_sync_runs_match_serial(f.ctx, f.hw);
+  }
+}
+
+TEST(ReplicaProbe, MoreWorkersThanHardwareThreadsMatchSerial) {
+  Fixture f;
+  const std::size_t workers = std::thread::hardware_concurrency() + 2;
+  f.ctx.config.workers = workers;
+  f.ctx.config.iterations = 2;
+  GpuSystemConfig c;
+  c.gpus = workers;
+  const GpuSystem hw(c, paper_lenet(), 2.0 * 12.0 * 12.0 * 4.0);
+  expect_sync_runs_match_serial(f.ctx, hw);
+}
+
+TEST(ReplicaProbe, RoundOneCrashProbesTheInitialWeightsBeforeAnyStep) {
+  Fixture f;
+  FaultPlan crash;
+  crash.with_crash(1, 1e-12);  // inside round 1: its math never commits
+  const std::unique_ptr<Network> initial = make_model();
+  const auto w0 = initial->arena().full_params();
+  const std::vector<float> initial_params(w0.begin(), w0.end());
+  Evaluator eval(f.ctx.factory, *f.ctx.test, f.ctx.config.eval_samples);
+  TracePoint want = eval.evaluate(initial->arena());
+  want.iteration = 0;
+
+  for (const RunResult& r :
+       {run_sync_easgd(f.ctx, f.hw, SyncEasgdVariant::kEasgd3, crash),
+        run_sync_sgd(f.ctx, f.hw, crash)}) {
+    SCOPED_TRACE(r.method);
+    EXPECT_TRUE(r.aborted);
+    EXPECT_EQ(r.iterations, 0u);
+    expect_bitwise(r.final_params, initial_params, r.method.c_str());
+    expect_trace_bitwise(r.trace, {want}, r.method.c_str());
+  }
+}
+
+TEST(ReplicaProbe, PerLayerSyncSgdMatchesSerial) {
+  Fixture f;
+  f.ctx.factory = [] { return make_model(PackMode::kPerLayer); };
+  f.ctx.config.eval_samples = 100;
+  const Reference ref = serial_sgd(
+      f.ctx, [&](std::size_t i) { return sync_seed(f.ctx, i); }, 1.0f);
+  const RunResult r = run_sync_sgd(f.ctx, f.hw);
+  expect_trace_bitwise(r.trace, ref.trace, "per-layer Sync SGD");
+  // A per-layer arena has no packed view, so the run reports no
+  // final_params; the packed run, whose math is the same, reports the
+  // reference's.
+  EXPECT_TRUE(r.final_params.empty());
+  AlgoContext packed = f.ctx;
+  packed.factory = [] { return make_model(); };
+  expect_bitwise(run_sync_sgd(packed, f.hw).final_params, ref.final_params,
+                 "packed Sync SGD");
 }
 
 }  // namespace

@@ -85,6 +85,20 @@ TEST(SolverParse, ZeroTestIntervalRejectedWithLineNumber) {
   }
 }
 
+TEST(SolverParse, ZeroBatchSizeAndTestIterRejectedWithLineNumber) {
+  for (const char* key : {"batch_size", "test_iter"}) {
+    try {
+      parse_solver(std::string("workers: 2\n") + key + ": 0\n");
+      FAIL() << "expected throw for " << key;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("line 2: ") + key +
+                                           " must be >= 1"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(SolverParse, EmptyTextGivesDefaults) {
   const SolverSpec spec = parse_solver("");
   EXPECT_EQ(spec.method, "sync_easgd3");
