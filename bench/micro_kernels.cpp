@@ -144,6 +144,8 @@ BENCHMARK(BM_Col2im);
 // Conv layer benches: state.range(0) is the batch size, so the per-image
 // and batched-lowering regimes share one harness. in 3 → out 16 channels on
 // 32×32 inputs (the AlexNet-s stem shape), forward = 1/3 of flops_per_sample.
+// Every conv forward here is a training forward (train == true), the one
+// that lowers the whole batch; inference goes one image at a time.
 void BM_ConvForward(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   ds::Conv2D conv(3, 16, 3, 1, 1);
@@ -157,7 +159,7 @@ void BM_ConvForward(benchmark::State& state) {
   }
   ds::Tensor y;
   for (auto _ : state) {
-    conv.forward(x, y, false);
+    conv.forward(x, y, /*train=*/true);
     benchmark::DoNotOptimize(y.data());
   }
   set_gflops(state, conv.flops_per_sample(x.shape()) / 3.0 *
@@ -177,7 +179,7 @@ void BM_ConvBackward(benchmark::State& state) {
     x[i] = static_cast<float>(rng.uniform(-1, 1));
   }
   ds::Tensor y, dx;
-  conv.forward(x, y, false);
+  conv.forward(x, y, /*train=*/true);
   ds::Tensor dy(y.shape());
   dy.fill(0.01f);
   for (auto _ : state) {
@@ -204,7 +206,7 @@ void BM_ConvForwardDeep(benchmark::State& state) {
   }
   ds::Tensor y;
   for (auto _ : state) {
-    conv.forward(x, y, false);
+    conv.forward(x, y, /*train=*/true);
     benchmark::DoNotOptimize(y.data());
   }
   set_gflops(state, conv.flops_per_sample(x.shape()) / 3.0 *
@@ -245,7 +247,7 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
   auto conv = make_conv(algo, params, grads);
   ds::Tensor y;
   for (auto _ : state) {
-    conv->forward(x, y, false);
+    conv->forward(x, y, /*train=*/true);
     benchmark::DoNotOptimize(y.data());
   }
   const double flops = conv->flops_per_sample(x.shape()) / 3.0 *
@@ -258,11 +260,11 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
     std::vector<float> p, g;
     auto c = make_conv(a, p, g);
     ds::Tensor out;
-    for (int warm = 0; warm < 3; ++warm) c->forward(x, out, false);
+    for (int warm = 0; warm < 3; ++warm) c->forward(x, out, /*train=*/true);
     double best = 0.0;
     for (int window = 0; window < 3; ++window) {
       const auto t0 = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < 10; ++rep) c->forward(x, out, false);
+      for (int rep = 0; rep < 10; ++rep) c->forward(x, out, /*train=*/true);
       const double t =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         t0)

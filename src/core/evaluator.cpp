@@ -28,7 +28,7 @@ TracePoint reduce_logits(const Tensor& logits,
   for (std::size_t done = 0; done < rows; done += kEvalChunk) {
     const std::size_t take = std::min(kEvalChunk, rows - done);
     const Shape shape{take, classes};
-    if (chunk.shape() != shape) chunk = Tensor(shape);
+    chunk.resize(shape);
     std::memcpy(chunk.data(), logits.data() + done * classes,
                 chunk.numel() * sizeof(float));
     const LossResult r = loss.evaluate(chunk, labels.subspan(done, take));
@@ -55,7 +55,7 @@ TracePoint Evaluator::run_eval() {
     gather_batch(test_, chunk_, batch_, labels_);
     const Tensor& out = net_->infer(batch_);
     const Shape shape{rows_, out.dim(1)};
-    if (logits_.shape() != shape) logits_ = Tensor(shape);
+    logits_.resize(shape);
     std::memcpy(logits_.data() + done * out.dim(1), out.data(),
                 out.numel() * sizeof(float));
   }

@@ -98,7 +98,7 @@ void ModelParallelFC::forward(const Tensor& x, Tensor& y) {
   }
   fabric_.tree_broadcast(rank_, 0, full);
 
-  if (y.shape() != Shape{batch, out_}) y = Tensor({batch, out_});
+  y.resize(Shape{batch, out_});
   std::memcpy(y.data(), full.data(), full.size() * sizeof(float));
 }
 
@@ -135,7 +135,7 @@ void ModelParallelFC::backward(const Tensor& x, const Tensor& dy,
        dy_local.data(), params_.data(), 0.0f, dx_partial.data());
   fabric_.tree_allreduce(rank_, 0, dx_partial);
 
-  if (dx.shape() != Shape{batch, in_}) dx = Tensor({batch, in_});
+  dx.resize(Shape{batch, in_});
   std::memcpy(dx.data(), dx_partial.data(),
               dx_partial.size() * sizeof(float));
 }

@@ -25,7 +25,7 @@ void gather_batch(const Dataset& dataset,
   const std::size_t sample = dataset.sample_numel();
   const Shape want{indices.size(), dataset.images.dim(1),
                    dataset.images.dim(2), dataset.images.dim(3)};
-  if (images.shape() != want) images = Tensor(want);
+  images.resize(want);
   labels.resize(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     DS_CHECK(indices[i] < dataset.size(),

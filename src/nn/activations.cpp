@@ -6,10 +6,6 @@
 namespace ds {
 namespace {
 
-void prepare_like(const Tensor& x, Tensor& y) {
-  if (y.shape() != x.shape()) y = Tensor(x.shape());
-}
-
 std::size_t per_sample_elems(const Shape& input) {
   // Batch dim excluded: flops_per_sample contracts on one sample.
   std::size_t n = 1;
@@ -22,7 +18,7 @@ std::size_t per_sample_elems(const Shape& input) {
 // --------------------------------- ReLU ------------------------------------
 
 void ReLU::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  prepare_like(x, y);
+  y.resize(x.shape());
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
@@ -31,7 +27,7 @@ void ReLU::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 
 void ReLU::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                     Tensor& dx) {
-  prepare_like(x, dx);
+  dx.resize(x.shape());
   const std::size_t n = x.numel();
   const float* xi = x.data();
   const float* g = dy.data();
@@ -46,7 +42,7 @@ double ReLU::flops_per_sample(const Shape& input) const {
 // --------------------------------- Tanh ------------------------------------
 
 void Tanh::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  prepare_like(x, y);
+  y.resize(x.shape());
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
@@ -55,7 +51,7 @@ void Tanh::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 
 void Tanh::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                     Tensor& dx) {
-  prepare_like(x, dx);
+  dx.resize(x.shape());
   const std::size_t n = x.numel();
   const float* yo = y.data();
   const float* g = dy.data();
@@ -71,7 +67,7 @@ double Tanh::flops_per_sample(const Shape& input) const {
 // -------------------------------- Sigmoid ----------------------------------
 
 void Sigmoid::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  prepare_like(x, y);
+  y.resize(x.shape());
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
@@ -80,7 +76,7 @@ void Sigmoid::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 
 void Sigmoid::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                        Tensor& dx) {
-  prepare_like(x, dx);
+  dx.resize(x.shape());
   const std::size_t n = x.numel();
   const float* yo = y.data();
   const float* g = dy.data();
@@ -103,13 +99,13 @@ Shape Flatten::output_shape(const Shape& input) const {
 
 void Flatten::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   const Shape out = output_shape(x.shape());
-  if (y.shape() != out) y = Tensor(out);
+  y.resize(out);
   copy(x.span(), y.span());
 }
 
 void Flatten::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                        Tensor& dx) {
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   copy(dy.span(), dx.span());
 }
 
@@ -126,7 +122,7 @@ std::string Dropout::name() const {
 }
 
 void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
-  prepare_like(x, y);
+  y.resize(x.shape());
   const std::size_t n = x.numel();
   if (!train || drop_prob_ == 0.0) {
     copy(x.span(), y.span());
@@ -144,7 +140,7 @@ void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
 
 void Dropout::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                        Tensor& dx) {
-  prepare_like(x, dx);
+  dx.resize(x.shape());
   const std::size_t n = x.numel();
   const float* g = dy.data();
   float* out = dx.data();

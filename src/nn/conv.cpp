@@ -153,6 +153,50 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y) {
   }
 }
 
+// Inference forward, one image at a time: the workspaces hold one image's
+// column matrix or blocked layout instead of the whole batch's, and the
+// GEMM writes each image's NCHW output directly. A 1×1, stride-1,
+// unpadded conv needs no lowering at all: the image's plane already is its
+// column matrix. Per output element this is the reduction a batch-1 call
+// runs, which equals the batched one (serve_parity_test).
+void Conv2D::forward_images(const ConvGeom& g, ConvAlgo algo, const Tensor& x,
+                            Tensor& y) {
+  const std::size_t rows = g.col_rows();
+  const std::size_t cols = g.col_cols();
+  const std::size_t in_plane = in_c_ * g.height * g.width;
+  const std::size_t out_plane = out_c_ * cols;
+  const float* weights = params_.data();  // out_c × rows
+  const float* bias = params_.data() + out_c_ * rows;
+  const bool direct = algo == ConvAlgo::kDirect;
+  const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
+  const BlockedLayout bl = BlockedLayout::for_conv(g);
+  if (direct) {
+    scratch().ensure(bl.image_floats());
+  } else if (!pointwise) {
+    col_ws_.ensure(rows * cols);
+  }
+  col_valid_ = false;
+  GemmEpilogue ep;
+  ep.row_bias = bias;
+  for (std::size_t n = 0; n < x.dim(0); ++n) {
+    const float* xn = x.data() + n * in_plane;
+    float* yn = y.data() + n * out_plane;
+    if (direct) {
+      nchw_to_blocked(bl, 1, xn, scratch().data());
+      direct_conv3x3_forward(bl, 1, out_c_, scratch().data(), weights, bias,
+                             yn);
+      continue;
+    }
+    const float* col = xn;
+    if (!pointwise) {
+      im2col(g, xn, col_ws_.data(), cols);
+      col = col_ws_.data();
+    }
+    gemm(Transpose::kNo, Transpose::kNo, out_c_, cols, rows, 1.0f, weights,
+         rows, col, cols, 0.0f, yn, cols, ep);
+  }
+}
+
 // Direct forward over the blocked activation layout.
 void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
   const std::size_t batch = x.dim(0);
@@ -168,13 +212,17 @@ void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
                          y.data());
 }
 
-void Conv2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
+void Conv2D::forward(const Tensor& x, Tensor& y, bool train) {
   const ConvGeom g = geom_for(x.shape());
   const Shape out = output_shape(x.shape());
-  if (y.shape() != out) y = Tensor(out);
+  y.resize(out);
   const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
   count_dispatch(algo,
                  gemm_flops(out_c_, x.dim(0) * g.col_cols(), g.col_rows()));
+  if (!train) {
+    forward_images(g, algo, x, y);
+    return;
+  }
   switch (algo) {
     case ConvAlgo::kIm2col:
       forward_lowered(g, x, y);
@@ -286,7 +334,7 @@ void Conv2D::backward_into(const Tensor& x, const Tensor& dy, Tensor* dx) {
 
 void Conv2D::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                       Tensor& dx) {
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   backward_into(x, dy, &dx);
 }
 

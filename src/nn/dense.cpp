@@ -39,7 +39,7 @@ void FullyConnected::init_params(Rng& rng) {
 
 void FullyConnected::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   const Shape out = output_shape(x.shape());
-  if (y.shape() != out) y = Tensor(out);
+  y.resize(out);
   const std::size_t batch = x.dim(0);
   const float* weights = params_.data();  // out × in
   const float* bias = params_.data() + out_ * in_;
@@ -68,7 +68,7 @@ void FullyConnected::backward_params(const Tensor& x, const Tensor& /*y*/,
 void FullyConnected::backward(const Tensor& x, const Tensor& y,
                               const Tensor& dy, Tensor& dx) {
   backward_params(x, y, dy, dx);
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   // dX = dY · W : [batch × out] · [out × in]
   gemm(Transpose::kNo, Transpose::kNo, x.dim(0), in_, out_, 1.0f, dy.data(),
        params_.data(), 0.0f, dx.data());

@@ -88,32 +88,28 @@ void InceptionBlock::init_params(Rng& rng) {
   }
 }
 
-void InceptionBlock::run_branch_forward(Branch& b, const Tensor& x,
-                                        bool train) {
-  b.acts.resize(b.stages.size());
-  const Tensor* in = &x;
-  for (std::size_t s = 0; s < b.stages.size(); ++s) {
-    b.stages[s]->forward(*in, b.acts[s], train);
-    in = &b.acts[s];
-  }
-}
-
 void InceptionBlock::forward(const Tensor& x, Tensor& y, bool train) {
   const Shape out = output_shape(x.shape());
-  if (y.shape() != out) y = Tensor(out);
-  for (auto& b : branches_) run_branch_forward(b, x, train);
-
-  // Concatenate branch outputs along the channel dimension.
+  y.resize(out);
   const std::size_t batch = x.dim(0);
   const std::size_t hw = out.dim(2) * out.dim(3);
   const std::size_t out_c = out.dim(1);
   std::size_t c_offset = 0;
-  for (const auto& b : branches_) {
-    const Tensor& bo = b.acts.back();
-    const std::size_t bc = bo.dim(1);
+  for (Branch& b : branches_) {
+    // Training keeps every stage's output for backward; inference runs the
+    // stages through the block's two buffers.
+    if (train) b.acts.resize(b.stages.size());
+    const Tensor* in = &x;
+    for (std::size_t s = 0; s < b.stages.size(); ++s) {
+      Tensor& stage_out = train ? b.acts[s] : infer_bufs_[s % 2];
+      b.stages[s]->forward(*in, stage_out, train);
+      in = &stage_out;
+    }
+    // Concatenate the branch output into y along the channel dimension.
+    const std::size_t bc = in->dim(1);
     for (std::size_t n = 0; n < batch; ++n) {
       std::memcpy(y.data() + (n * out_c + c_offset) * hw,
-                  bo.data() + n * bc * hw, bc * hw * sizeof(float));
+                  in->data() + n * bc * hw, bc * hw * sizeof(float));
     }
     c_offset += bc;
   }
@@ -121,7 +117,7 @@ void InceptionBlock::forward(const Tensor& x, Tensor& y, bool train) {
 
 void InceptionBlock::backward(const Tensor& x, const Tensor& /*y*/,
                               const Tensor& dy, Tensor& dx) {
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   dx.zero();
   const std::size_t batch = x.dim(0);
   const std::size_t hw = dy.dim(2) * dy.dim(3);
@@ -135,9 +131,7 @@ void InceptionBlock::backward(const Tensor& x, const Tensor& /*y*/,
     DS_CHECK(!b.acts.empty(), "inception backward before forward");
     const std::size_t bc = b.acts.back().dim(1);
     // Slice dy channels belonging to this branch.
-    if (branch_dy.shape() != b.acts.back().shape()) {
-      branch_dy = Tensor(b.acts.back().shape());
-    }
+    branch_dy.resize(b.acts.back().shape());
     for (std::size_t n = 0; n < batch; ++n) {
       std::memcpy(branch_dy.data() + n * bc * hw,
                   dy.data() + (n * out_c + c_offset) * hw,

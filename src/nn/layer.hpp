@@ -51,11 +51,14 @@ class Layer {
   /// Initialise bound parameters (Xavier for weights, zero for biases).
   virtual void init_params(Rng& /*rng*/) {}
 
-  /// y = f(x). `train` enables stochastic behaviour (dropout).
+  /// y = f(x). `train` enables stochastic behaviour (dropout) and keeps
+  /// the state backward() reads; an inference forward (train == false)
+  /// keeps none of it.
   virtual void forward(const Tensor& x, Tensor& y, bool train) = 0;
 
   /// Given dL/dy, compute dL/dx and accumulate parameter gradients.
-  /// x and y are the tensors from the matching forward() call.
+  /// x and y are the tensors from the matching forward() call, which must
+  /// have run with train == true.
   virtual void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
                         Tensor& dx) = 0;
 

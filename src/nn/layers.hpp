@@ -122,6 +122,8 @@ class Conv2D final : public Layer {
   AlignedBuffer& scratch() { return scratch_ ? *scratch_ : own_scratch_; }
 
   void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y);
+  void forward_images(const ConvGeom& g, ConvAlgo algo, const Tensor& x,
+                      Tensor& y);
   void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y);
   // dx == nullptr skips the input gradient (backward_params).
   void backward_into(const Tensor& x, const Tensor& dy, Tensor* dx);
@@ -311,11 +313,10 @@ class InceptionBlock final : public Layer {
     std::vector<Tensor> acts;  // forward activations per stage
   };
 
-  void run_branch_forward(Branch& b, const Tensor& x, bool train);
-
   std::size_t in_c_;
   std::size_t out_1x1_, out_3x3_, out_5x5_, out_pool_;
   std::vector<Branch> branches_;
+  Tensor infer_bufs_[2];  // inference stage outputs, alternating
 };
 
 }  // namespace ds

@@ -17,9 +17,7 @@ LossResult softmax_xent(const Tensor& logits,
   const std::size_t classes = logits.dim(1);
   DS_CHECK(labels.size() == batch,
            "labels " << labels.size() << " vs batch " << batch);
-  if (dlogits != nullptr && dlogits->shape() != logits.shape()) {
-    *dlogits = Tensor(logits.shape());
-  }
+  if (dlogits != nullptr) dlogits->resize(logits.shape());
 
   LossResult result;
   const float inv_batch = 1.0f / static_cast<float>(batch);

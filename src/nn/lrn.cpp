@@ -69,7 +69,7 @@ std::string LocalResponseNorm::name() const {
 
 void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   DS_CHECK(x.rank() == 4, "lrn input must be NCHW");
-  if (y.shape() != x.shape()) y = Tensor(x.shape());
+  y.resize(x.shape());
   const std::size_t batch = x.dim(0), channels = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
   scale_.resize(x.numel());
@@ -111,7 +111,7 @@ void LocalResponseNorm::backward(const Tensor& x, const Tensor& y,
            "lrn backward: y " << y.shape().str() << " and dy "
                               << dy.shape().str() << " must match x "
                               << x.shape().str());
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   const std::size_t batch = x.dim(0), channels = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
   const long half = static_cast<long>(size_ / 2);

@@ -78,13 +78,17 @@ void Network::finalize(Rng& rng) {
 
 const Tensor& Network::forward(const Tensor& batch, bool train) {
   DS_CHECK(finalized_, "forward() before finalize()");
+  // Training keeps every layer's output for backward; inference needs only
+  // the input and output of the running layer, so it alternates between
+  // acts_[0] and acts_[1].
   const Tensor* in = &batch;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     const obs::SpanGuard span("layer", fwd_trace_name(i));
-    layers_[i]->forward(*in, acts_[i], train);
-    in = &acts_[i];
+    Tensor& out = acts_[train ? i : i % 2];
+    layers_[i]->forward(*in, out, train);
+    in = &out;
   }
-  return acts_.back();
+  return *in;
 }
 
 const Tensor& Network::infer(const Tensor& batch) {

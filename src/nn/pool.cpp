@@ -32,7 +32,12 @@ inline void take(float v, std::uint32_t idx, float& best, std::uint32_t& at) {
   at = gt ? idx : at;
 }
 
+// The kernels below write each window's argmax only when kArgmax is set
+// (training); inference skips the index stores and argmax_ entirely. The
+// max itself does not depend on the index, so both modes are bit-identical.
+
 // One window, taps clamped to the plane (any geometry, borders included).
+template <bool kArgmax>
 void max_clamped_window(const float* xp, const PoolGeom& g, long ih0, long ow,
                         float* yr, std::uint32_t* ar) {
   const long iw0 = ow * g.s - g.pad;
@@ -47,11 +52,12 @@ void max_clamped_window(const float* xp, const PoolGeom& g, long ih0, long ow,
     }
   }
   yr[ow] = best;
-  ar[ow] = at;
+  if constexpr (kArgmax) ar[ow] = at;
 }
 
 // k2 s2 windows [ow_lo, ow_hi) of an output row whose taps all lie inside
 // the plane: the taps unroll, so the column loop vectorises.
+template <bool kArgmax>
 void max_k2s2_windows(const float* xp, const PoolGeom& g, long ih0,
                       long ow_lo, long ow_hi, float* __restrict yr,
                       std::uint32_t* __restrict ar) {
@@ -67,7 +73,7 @@ void max_k2s2_windows(const float* xp, const PoolGeom& g, long ih0,
       }
     }
     yr[ow] = best;
-    ar[ow] = at;
+    if constexpr (kArgmax) ar[ow] = at;
   }
 }
 
@@ -76,6 +82,7 @@ void max_k2s2_windows(const float* xp, const PoolGeom& g, long ih0,
 // over the plane. Their first and last columns wrap into the neighbouring
 // rows (reads stay inside the plane); the caller redoes those windows
 // clamped.
+template <bool kArgmax>
 void max_k3s1p1_rows(const float* xp, const PoolGeom& g, float* __restrict yp,
                      std::uint32_t* __restrict ap) {
   constexpr long K = 3, P = 1;
@@ -90,7 +97,43 @@ void max_k3s1p1_rows(const float* xp, const PoolGeom& g, float* __restrict yp,
       }
     }
     yp[o] = best;
-    ap[o] = at;
+    if constexpr (kArgmax) ap[o] = at;
+  }
+}
+
+// Max-pools `planes` planes of x into y (and argmax when kArgmax).
+template <bool kArgmax>
+void max_pool_planes(const PoolGeom& g, std::size_t planes, long ho, long wo,
+                     const float* x, float* y, std::uint32_t* argmax) {
+  // Columns [ow_lo, ow_hi) have every kw tap inside the row.
+  const long ow_lo = std::min((g.pad + g.s - 1) / g.s, wo);
+  const long ow_hi = std::clamp(
+      g.w + g.pad - g.k >= 0 ? (g.w + g.pad - g.k) / g.s + 1 : 0, ow_lo, wo);
+  // Vectorised interiors for the zoo's two pool shapes, k2 s2 and k3 s1 p1;
+  // every other geometry, and every border window, runs clamped.
+  const bool k2s2 = g.k == 2 && g.s == 2;
+  const bool k3s1p1 = g.k == 3 && g.s == 1 && g.pad == 1;
+
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* xp = x + p * static_cast<std::size_t>(g.h * g.w);
+    float* yp = y + p * static_cast<std::size_t>(ho * wo);
+    std::uint32_t* ap =
+        kArgmax ? argmax + p * static_cast<std::size_t>(ho * wo) : nullptr;
+    if (k3s1p1) max_k3s1p1_rows<kArgmax>(xp, g, yp, ap);
+    for (long oh = 0; oh < ho; ++oh) {
+      const long ih0 = oh * g.s - g.pad;
+      float* yr = yp + oh * wo;
+      std::uint32_t* ar = kArgmax ? ap + oh * wo : nullptr;
+      long ow = 0;
+      if ((k2s2 || k3s1p1) && ih0 >= 0 && ih0 + g.k <= g.h) {
+        for (; ow < ow_lo; ++ow) {
+          max_clamped_window<kArgmax>(xp, g, ih0, ow, yr, ar);
+        }
+        if (k2s2) max_k2s2_windows<kArgmax>(xp, g, ih0, ow_lo, ow_hi, yr, ar);
+        ow = ow_hi;
+      }
+      for (; ow < wo; ++ow) max_clamped_window<kArgmax>(xp, g, ih0, ow, yr, ar);
+    }
   }
 }
 
@@ -120,7 +163,7 @@ Shape MaxPool2D::output_shape(const Shape& input) const {
   return Shape{input.dim(0), input.dim(1), ho, wo};
 }
 
-void MaxPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
+void MaxPool2D::forward(const Tensor& x, Tensor& y, bool train) {
   // Shape construction heap-allocates; memoize so the steady-state hot loop
   // (fixed or alternating train/eval batch shapes) does no allocation.
   if (x.shape() != in_cache_) {
@@ -130,40 +173,20 @@ void MaxPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
              "maxpool plane " << in_cache_.str() << " too large");
   }
   const Shape& out = out_cache_;
-  if (y.shape() != out) y = Tensor(out);
-  argmax_.resize(out.numel());  // grow-only capacity, no realloc once warm
+  y.resize(out);
   const std::size_t planes = x.dim(0) * x.dim(1);
   const PoolGeom g{static_cast<long>(x.dim(2)), static_cast<long>(x.dim(3)),
                    static_cast<long>(kernel_), static_cast<long>(stride_),
                    static_cast<long>(pad_)};
   const long ho = static_cast<long>(out.dim(2));
   const long wo = static_cast<long>(out.dim(3));
-  // Columns [ow_lo, ow_hi) have every kw tap inside the row.
-  const long ow_lo = std::min((g.pad + g.s - 1) / g.s, wo);
-  const long ow_hi = std::clamp(
-      g.w + g.pad - g.k >= 0 ? (g.w + g.pad - g.k) / g.s + 1 : 0, ow_lo, wo);
-  // Vectorised interiors for the zoo's two pool shapes, k2 s2 and k3 s1 p1;
-  // every other geometry, and every border window, runs clamped.
-  const bool k2s2 = g.k == 2 && g.s == 2;
-  const bool k3s1p1 = g.k == 3 && g.s == 1 && g.pad == 1;
-
-  for (std::size_t p = 0; p < planes; ++p) {
-    const float* xp = x.data() + p * x.dim(2) * x.dim(3);
-    float* yp = y.data() + p * out.dim(2) * out.dim(3);
-    std::uint32_t* ap = argmax_.data() + p * out.dim(2) * out.dim(3);
-    if (k3s1p1) max_k3s1p1_rows(xp, g, yp, ap);
-    for (long oh = 0; oh < ho; ++oh) {
-      const long ih0 = oh * g.s - g.pad;
-      float* yr = yp + oh * wo;
-      std::uint32_t* ar = ap + oh * wo;
-      long ow = 0;
-      if ((k2s2 || k3s1p1) && ih0 >= 0 && ih0 + g.k <= g.h) {
-        for (; ow < ow_lo; ++ow) max_clamped_window(xp, g, ih0, ow, yr, ar);
-        if (k2s2) max_k2s2_windows(xp, g, ih0, ow_lo, ow_hi, yr, ar);
-        ow = ow_hi;
-      }
-      for (; ow < wo; ++ow) max_clamped_window(xp, g, ih0, ow, yr, ar);
-    }
+  if (train) {
+    argmax_.resize(out.numel());  // grow-only capacity, no realloc once warm
+    max_pool_planes<true>(g, planes, ho, wo, x.data(), y.data(),
+                          argmax_.data());
+  } else {
+    argmax_.clear();  // backward needs a training forward first
+    max_pool_planes<false>(g, planes, ho, wo, x.data(), y.data(), nullptr);
   }
 }
 
@@ -175,7 +198,7 @@ void MaxPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
            "maxpool backward: y " << y.shape().str() << " and dy "
                                   << dy.shape().str() << " must be "
                                   << out_cache_.str());
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   dx.zero();
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t plane_in = x.dim(2) * x.dim(3);
@@ -221,7 +244,7 @@ void AvgPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
     out_cache_ = output_shape(in_cache_);
   }
   const Shape& out = out_cache_;
-  if (y.shape() != out) y = Tensor(out);
+  y.resize(out);
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t h = x.dim(2), w = x.dim(3);
   const std::size_t ho = out.dim(2), wo = out.dim(3);
@@ -252,7 +275,7 @@ void AvgPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
            "avgpool backward: y " << y.shape().str() << " and dy "
                                   << dy.shape().str() << " must be "
                                   << out_cache_.str());
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   dx.zero();
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t h = x.dim(2), w = x.dim(3);

@@ -72,13 +72,13 @@ void ResidualBlock::forward(const Tensor& x, Tensor& y, bool train) {
   if (projection_) {
     projection_->forward(x, shortcut_, train);
   } else {
-    if (shortcut_.shape() != x.shape()) shortcut_ = Tensor(x.shape());
+    shortcut_.resize(x.shape());
     copy(x.span(), shortcut_.span());
   }
   // y = ReLU(branch + shortcut); keep the pre-activation for backward.
-  if (pre_relu_.shape() != act3_.shape()) pre_relu_ = Tensor(act3_.shape());
+  pre_relu_.resize(act3_.shape());
   add(act3_.span(), shortcut_.span(), pre_relu_.span());
-  if (y.shape() != pre_relu_.shape()) y = Tensor(pre_relu_.shape());
+  y.resize(pre_relu_.shape());
   const std::size_t n = pre_relu_.numel();
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = pre_relu_[i] > 0.0f ? pre_relu_[i] : 0.0f;
@@ -89,7 +89,7 @@ void ResidualBlock::backward(const Tensor& x, const Tensor& /*y*/,
                              const Tensor& dy, Tensor& dx) {
   DS_CHECK(pre_relu_.numel() == dy.numel(), "residual backward before forward");
   // Through the output ReLU.
-  if (d_pre_.shape() != dy.shape()) d_pre_ = Tensor(dy.shape());
+  d_pre_.resize(dy.shape());
   const std::size_t n = dy.numel();
   for (std::size_t i = 0; i < n; ++i) {
     d_pre_[i] = pre_relu_[i] > 0.0f ? dy[i] : 0.0f;
@@ -99,7 +99,7 @@ void ResidualBlock::backward(const Tensor& x, const Tensor& /*y*/,
   relu1_.backward(act1_, act2_, d_act2_, d_act1_);
   conv1_.backward(x, act1_, d_act1_, d_branch_);
   // Shortcut path.
-  if (dx.shape() != x.shape()) dx = Tensor(x.shape());
+  dx.resize(x.shape());
   if (projection_) {
     projection_->backward(x, shortcut_, d_pre_, d_short_);
     add(d_branch_.span(), d_short_.span(), dx.span());

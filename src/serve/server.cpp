@@ -1,6 +1,8 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstring>
 #include <queue>
 #include <thread>
@@ -52,8 +54,7 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
-// Copy the pool samples of one batch's requests into `input`, reshaping it
-// only when the batch size changes.
+// Copy the pool samples of one batch's requests into `input`.
 void coalesce(const std::vector<std::uint64_t>& ids, const Dataset& pool,
               Tensor& input) {
   const std::size_t sample_numel = pool.sample_numel();
@@ -61,8 +62,7 @@ void coalesce(const std::vector<std::uint64_t>& ids, const Dataset& pool,
   std::vector<std::size_t> dims;
   dims.push_back(ids.size());
   for (const std::size_t d : sample_shape.dims()) dims.push_back(d);
-  Shape shape(dims);
-  if (!(input.shape() == shape)) input = Tensor(std::move(shape));
+  input.resize(Shape(std::move(dims)));
   for (std::size_t b = 0; b < ids.size(); ++b) {
     const std::size_t src = ids[b] % pool.size();
     std::memcpy(input.data() + b * sample_numel,
@@ -74,6 +74,7 @@ void coalesce(const std::vector<std::uint64_t>& ids, const Dataset& pool,
 }  // namespace
 
 double ServeResult::latency_quantile_ms(double q) const {
+  DS_CHECK(!std::isnan(q), "latency quantile is NaN");
   std::vector<double> lat;
   lat.reserve(served);
   for (const RequestRecord& r : requests) {
@@ -105,6 +106,8 @@ struct Server::Impl {
   NetworkFactory factory;
   GpuSystem device;  // by value: timing model outlives any caller's copy
 
+  // A replica holds the weights its batches are answered with; its network
+  // never runs a forward, so it never grows activation buffers.
   struct Replica {
     std::unique_ptr<Network> net;
     bool active = false;
@@ -112,11 +115,18 @@ struct Server::Impl {
     // This run's batches as request ids, in dispatch order; while the
     // replica is busy, the last one is in flight.
     std::vector<std::vector<std::uint64_t>> batches;
-    Tensor input;  // coalesced batch for the replica's forward
   };
   std::vector<Replica> replicas;
   std::size_t active_count = 0;
-  std::unique_ptr<ThreadPool> forward_pool;  // built on first use
+  // A lane runs recorded batches on its own network, loading the weights
+  // of each batch's replica. Lanes and the pool are built on first use and
+  // kept warm across runs.
+  struct Lane {
+    std::unique_ptr<Network> net;
+    Tensor input;  // coalesced batch
+  };
+  std::vector<Lane> lanes;
+  std::unique_ptr<ThreadPool> forward_pool;
 
   // Cached instrument references (registration is find-or-create once).
   obs::Counter& requests_ctr = obs::metrics().counter(obs::names::kServeRequests);
@@ -134,40 +144,68 @@ struct Server::Impl {
 
   Impl(NetworkFactory f, const GpuSystem& d) : factory(std::move(f)), device(d) {}
 
-  std::unique_ptr<Network> build_replica(const ServerConfig& config) {
+  std::unique_ptr<Network> build_network() {
     std::unique_ptr<Network> net = factory();
     DS_CHECK(net != nullptr && net->finalized(),
              "serve replica factory must return a finalized network");
+    return net;
+  }
+
+  std::unique_ptr<Network> build_replica(const ServerConfig& config) {
+    std::unique_ptr<Network> net = build_network();
     if (!config.checkpoint_path.empty()) {
       load_checkpoint(*net, config.checkpoint_path);
     }
     return net;
   }
 
-  // Run every replica's batches through its network, one pool task per
-  // replica, and store each request's argmax class in `predicted`. Each
-  // replica stays one serial stream over its own buffers, and batched
-  // inference is bitwise equal to batch-1 calls, so the answers do not
-  // depend on the thread count or the interleaving.
+  // Run this run's recorded batches on min(hardware threads, batches)
+  // lanes and store each request's argmax class in `predicted`. Lanes take
+  // batches from one shared cursor in (replica, dispatch) order and load a
+  // replica's weights before its first batch on that lane. Batched
+  // inference is bitwise equal to batch-1 calls and every lane computes
+  // with the exact weights of the batch's replica, so the answers do not
+  // depend on which lane runs a batch.
   void run_forwards(const Dataset& pool,
                     std::vector<std::int32_t>& predicted) {
-    if (!forward_pool) {
-      forward_pool = std::make_unique<ThreadPool>(std::min<std::size_t>(
-          replicas.size(), std::max(1u, std::thread::hardware_concurrency())));
+    struct Work {
+      std::size_t replica;
+      const std::vector<std::uint64_t>* ids;
+    };
+    std::vector<Work> work;
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      for (const std::vector<std::uint64_t>& ids : replicas[r].batches) {
+        work.push_back(Work{r, &ids});
+      }
     }
+    if (work.empty()) return;
+    const std::size_t threads =
+        std::max(1u, std::thread::hardware_concurrency());
+    const std::size_t lane_count = std::min(threads, work.size());
+    while (lanes.size() < lane_count) {
+      lanes.push_back(Lane{build_network(), Tensor()});
+    }
+    if (!forward_pool) forward_pool = std::make_unique<ThreadPool>(threads);
     // The rules of ReplicaSet::compute_gradients (DESIGN.md §7): tasks keep
     // the caller's kernel choices but not its intra-GEMM threading, and
     // trace on the caller's rank.
     KernelConfig task_config = kernel_config();
     task_config.gemm_threads = 1;
     const std::int64_t rank = obs::thread_rank();
-    forward_pool->parallel_for(replicas.size(), [&](std::size_t r) {
+    std::atomic<std::size_t> cursor{0};
+    forward_pool->parallel_for(lane_count, [&](std::size_t l) {
       kernel_config() = task_config;
       const obs::RankScope obs_rank(rank);
-      Replica& replica = replicas[r];
-      for (const std::vector<std::uint64_t>& ids : replica.batches) {
-        coalesce(ids, pool, replica.input);
-        const Tensor& logits = replica.net->infer(replica.input);
+      Lane& lane = lanes[l];
+      std::size_t loaded = replicas.size();  // none yet this run
+      for (std::size_t i = cursor++; i < work.size(); i = cursor++) {
+        const std::vector<std::uint64_t>& ids = *work[i].ids;
+        if (work[i].replica != loaded) {
+          loaded = work[i].replica;
+          lane.net->arena().copy_params_from(replicas[loaded].net->arena());
+        }
+        coalesce(ids, pool, lane.input);
+        const Tensor& logits = lane.net->infer(lane.input);
         const std::size_t classes = logits.numel() / ids.size();
         for (std::size_t b = 0; b < ids.size(); ++b) {
           const float* row = logits.data() + b * classes;

@@ -12,11 +12,14 @@
 // time: the event queue is ordered by (time, push sequence), every stochastic
 // choice flows through the seeded workload trace, and the model math — the
 // real forward passes — never feeds back into timing. The loop only records
-// which requests each replica's batches hold; after it drains, the replicas'
-// forwards fan out, one pool task per replica, each walking its own batches
-// in dispatch order. Same seed ⇒ identical request outcome sequence, batch
-// assignments, predictions, and per-replica trace event sequences (asserted
-// by tests/serve_test.cpp), exactly like the training runners.
+// which requests each replica's batches hold. After it drains, the batches
+// run on L = min(hardware threads, batches) forward lanes: networks the
+// server owns, which take batches from one shared cursor in (replica,
+// dispatch) order and load a replica's weights before running its batches.
+// Replicas only hold weights. Same seed ⇒ identical request outcome
+// sequence, batch assignments, predictions, and per-replica trace event
+// sequences (asserted by tests/serve_test.cpp), whichever lane runs which
+// batch, exactly like the training runners.
 //
 // Observability: every request lifecycle emits "serve"-category events on
 // the virtual timeline —
@@ -116,7 +119,8 @@ struct ServeResult {
   obs::HistogramWindow batch_sizes;
 
   /// Exact latency quantile in milliseconds over the served requests
-  /// (sorted per call — test/bench convenience, not a hot path).
+  /// (sorted per call — test/bench convenience, not a hot path). q is
+  /// clamped to [0, 1]; a NaN q throws ds::Error.
   double latency_quantile_ms(double q) const;
 
   /// FNV-1a over the per-request outcome sequence (outcome, replica, batch

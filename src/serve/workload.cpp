@@ -7,6 +7,13 @@
 
 namespace ds::serve {
 
+namespace {
+
+// Most Poisson draws (peak rate × duration) a trace may expect.
+constexpr double kMaxExpectedArrivals = 1e8;
+
+}  // namespace
+
 const char* arrival_pattern_name(ArrivalPattern p) {
   switch (p) {
     case ArrivalPattern::kPoisson:
@@ -53,8 +60,17 @@ double WorkloadConfig::peak_rate() const {
 }
 
 std::vector<double> generate_arrivals(const WorkloadConfig& config) {
-  DS_CHECK(config.rate_rps > 0.0, "workload rate must be positive");
-  DS_CHECK(config.duration_s > 0.0, "workload duration must be positive");
+  DS_CHECK(config.rate_rps > 0.0 && std::isfinite(config.rate_rps),
+           "workload rate must be positive and finite, got "
+               << config.rate_rps);
+  DS_CHECK(config.duration_s > 0.0 && std::isfinite(config.duration_s),
+           "workload duration must be positive and finite, got "
+               << config.duration_s);
+  // An infinite peak rate draws zero gaps, so t would never advance.
+  DS_CHECK(std::isfinite(config.burst_rate_rps),
+           "burst rate must be finite, got " << config.burst_rate_rps);
+  DS_CHECK(std::isfinite(config.step_rate_rps),
+           "step rate must be finite, got " << config.step_rate_rps);
   if (config.pattern == ArrivalPattern::kBursty) {
     DS_CHECK(config.burst_every_s > 0.0 &&
                  config.burst_length_s <= config.burst_every_s,
@@ -66,6 +82,11 @@ std::vector<double> generate_arrivals(const WorkloadConfig& config) {
   // piecewise rate function, and one Rng stream keeps it deterministic.
   Rng rng(config.seed);
   const double peak = config.peak_rate();
+  // Bounds the reserve below and the cast to size_t in it.
+  DS_CHECK(peak * config.duration_s <= kMaxExpectedArrivals,
+           "workload expects " << peak * config.duration_s
+                               << " draws, more than "
+                               << kMaxExpectedArrivals);
   std::vector<double> arrivals;
   arrivals.reserve(static_cast<std::size_t>(peak * config.duration_s) + 16);
   double t = 0.0;

@@ -53,7 +53,9 @@ struct WorkloadConfig {
 };
 
 /// Generate the sorted arrival instants in [0, duration_s). Deterministic:
-/// identical config ⇒ identical trace.
+/// identical config ⇒ identical trace. Throws ds::Error on a non-positive
+/// or non-finite rate or duration, a non-finite burst or step rate, or
+/// more than 1e8 expected Poisson draws (peak rate × duration).
 std::vector<double> generate_arrivals(const WorkloadConfig& config);
 
 }  // namespace ds::serve

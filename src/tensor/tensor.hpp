@@ -90,6 +90,17 @@ class Tensor {
   void fill(float v) { storage_.fill(v); }
   void zero() { storage_.fill(0.0f); }
 
+  /// Give the tensor `shape`, reallocating only when its element count
+  /// outgrows the storage (AlignedBuffer::ensure). Contents are unspecified
+  /// afterwards: every layer overwrites its output in full. This replaces
+  /// `if (y.shape() != s) y = Tensor(s)`, which freed, reallocated and
+  /// zero-filled on every batch-size change.
+  void resize(const Shape& shape) {
+    if (shape_ == shape) return;
+    storage_.ensure(shape.numel());
+    shape_ = shape;
+  }
+
   /// Reshape in place; element count must be preserved.
   void reshape(Shape shape) {
     DS_CHECK(shape.numel() == numel(),

@@ -249,7 +249,7 @@ TEST(MaxPoolLayer, BackwardRoutesToArgmax) {
   Tensor x({1, 1, 2, 2});
   x[0] = 1; x[1] = 5; x[2] = 3; x[3] = 2;
   Tensor y, dx;
-  pool.forward(x, y, false);
+  pool.forward(x, y, /*train=*/true);
   Tensor dy({1, 1, 1, 1});
   dy[0] = 7.0f;
   pool.backward(x, y, dy, dx);

@@ -1,7 +1,8 @@
 // Serving front-end battery (DESIGN.md §12): workload generator
 // determinism and shape, batcher/admission unit behaviour, same-seed
 // bitwise determinism of full serving runs, the served answers against a
-// serial batch-1 oracle and the digest's sensitivity to them, request-pool
+// serial batch-1 oracle and the digest's sensitivity to them, the forward
+// lanes (lane count, per-replica weights, timing-only runs), request-pool
 // validation, overload shedding with bounded queues, batching goodput,
 // autoscaling, and the trace-lifecycle rollup's consistency with the
 // server's own accounting (including a Chrome-export round trip).
@@ -9,9 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -101,6 +105,44 @@ TEST(ServeWorkload, StepRaisesSecondHalfRate) {
   const std::size_t after = a.size() - before;
   // ~500 before vs ~2000 after.
   EXPECT_GT(after, 3 * before);
+}
+
+// Inputs that would hang the generator (an infinite rate draws zero gaps,
+// an infinite duration never ends) or reach UB are typed errors.
+TEST(ServeWorkload, NonFiniteRatesAndDurationsThrow) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto expect_throw = [](ArrivalPattern pattern, auto&& set) {
+    WorkloadConfig cfg;
+    cfg.pattern = pattern;
+    cfg.rate_rps = 1000.0;
+    cfg.duration_s = 0.01;
+    set(cfg);
+    EXPECT_THROW(generate_arrivals(cfg), Error);
+  };
+  expect_throw(ArrivalPattern::kPoisson,
+               [](WorkloadConfig& c) { c.rate_rps = kInf; });
+  expect_throw(ArrivalPattern::kPoisson,
+               [](WorkloadConfig& c) { c.duration_s = kInf; });
+  expect_throw(ArrivalPattern::kPoisson,
+               [](WorkloadConfig& c) { c.rate_rps = std::nan(""); });
+  expect_throw(ArrivalPattern::kBursty,
+               [](WorkloadConfig& c) { c.burst_rate_rps = kInf; });
+  expect_throw(ArrivalPattern::kStep,
+               [](WorkloadConfig& c) { c.step_rate_rps = kInf; });
+  // Finite, but more expected draws than a trace may hold.
+  expect_throw(ArrivalPattern::kPoisson,
+               [](WorkloadConfig& c) { c.rate_rps = 1e300; });
+}
+
+TEST(ServeResultQuantile, NanQuantileThrows) {
+  ServeResult r;
+  RequestRecord served;
+  served.outcome = Outcome::kServed;
+  served.reply = 2e-3;
+  r.requests.push_back(served);
+  r.served = 1;
+  EXPECT_DOUBLE_EQ(r.latency_quantile_ms(0.5), 2.0);
+  EXPECT_THROW(r.latency_quantile_ms(std::nan("")), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +341,142 @@ TEST(Serve, ServedAnswersMatchSerialBatchOneOracle) {
     }
   }
   EXPECT_GE(classes.size(), 2u);  // the untrained model's answers do vary
+}
+
+// Forward lanes. The server builds its lane networks with the replica
+// factory, so a factory that counts its calls counts replicas + lanes.
+// Replica r of a counting factory gets seed base + r, so replicas hold
+// different weights when no checkpoint overwrites them.
+struct CountingFactory {
+  std::shared_ptr<std::size_t> calls = std::make_shared<std::size_t>(0);
+  std::uint64_t base_seed = 100;
+
+  NetworkFactory factory() const {
+    return [calls = calls, base = base_seed]() {
+      Rng rng(base + (*calls)++);
+      return make_lenet_s(rng);
+    };
+  }
+};
+
+// Batch-1 oracles for the first `replicas` networks a counting factory
+// builds (the server's replicas, built before any lane).
+std::vector<std::unique_ptr<Network>> replica_oracles(
+    const CountingFactory& counting, std::size_t replicas) {
+  std::vector<std::unique_ptr<Network>> oracles;
+  for (std::uint64_t i = 0; i < replicas; ++i) {
+    Rng rng(counting.base_seed + i);
+    oracles.push_back(make_lenet_s(rng));
+  }
+  return oracles;
+}
+
+std::size_t hardware_threads() {
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+// Every served answer equals the batch-1 argmax of its own replica's
+// weights (oracles[replica]); shed requests predict -1.
+void expect_answers_match_oracles(
+    const ServeResult& r, const Dataset& pool,
+    const std::vector<std::unique_ptr<Network>>& oracles) {
+  for (const RequestRecord& req : r.requests) {
+    if (req.outcome == Outcome::kServed) {
+      ASSERT_GE(req.replica, 0);
+      ASSERT_EQ(req.predicted,
+                batch1_argmax(*oracles[static_cast<std::size_t>(req.replica)],
+                              pool, req.id))
+          << "request " << req.id << " on replica " << req.replica;
+    } else {
+      ASSERT_EQ(req.predicted, -1) << "shed request " << req.id;
+    }
+  }
+}
+
+TEST(ServeLanes, OneReplicaRunsOnEveryHardwareThread) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  const std::size_t threads = hardware_threads();
+  // Batch-1 dispatch: one batch per request, at least one per thread.
+  const std::vector<double> arrivals = generate_arrivals(
+      poisson(2000.0, 0.05 + 1e-3 * static_cast<double>(threads), 13));
+  const CountingFactory counting;
+  ServerConfig cfg;
+  cfg.batch.max_batch = 1;
+  Server server(counting.factory(), lenet_device(), cfg);
+  const ServeResult r = server.run(arrivals, data.train);
+  ASSERT_EQ(r.served, arrivals.size());
+  ASSERT_GE(r.batches, threads);
+  EXPECT_EQ(*counting.calls, 1 + threads);  // the replica + one per lane
+
+  expect_answers_match_oracles(r, data.train, replica_oracles(counting, 1));
+}
+
+TEST(ServeLanes, EachAnswerUsesItsOwnReplicasWeights) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  // Overload spreads batches over all three replicas.
+  const std::vector<double> arrivals =
+      generate_arrivals(poisson(20000.0, 0.02, 19));
+  const CountingFactory counting;
+  ServerConfig cfg;
+  cfg.replicas = 3;
+  Server server(counting.factory(), lenet_device(), cfg);
+  const ServeResult r = server.run(arrivals, data.train);
+
+  const auto oracles = replica_oracles(counting, cfg.replicas);
+  std::set<std::int64_t> used;
+  std::size_t weights_matter = 0;  // answers replica 0's weights would change
+  for (const RequestRecord& req : r.requests) {
+    if (req.outcome != Outcome::kServed) continue;
+    used.insert(req.replica);
+    if (req.replica != 0 &&
+        batch1_argmax(*oracles[0], data.train, req.id) !=
+            batch1_argmax(*oracles[static_cast<std::size_t>(req.replica)],
+                          data.train, req.id)) {
+      ++weights_matter;
+    }
+  }
+  ASSERT_EQ(used.size(), cfg.replicas);
+  ASSERT_GT(weights_matter, 0u);
+  expect_answers_match_oracles(r, data.train, oracles);
+
+  // A second run on the warm lanes reloads the weights it needs.
+  const ServeResult again = server.run(arrivals, data.train);
+  EXPECT_EQ(again.outcome_digest(), r.outcome_digest());
+  expect_answers_match_oracles(again, data.train, oracles);
+}
+
+TEST(ServeLanes, FewerBatchesThanThreadsBuildOneLanePerBatch) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  // A simultaneous burst of two max-size batches, one per replica.
+  const std::vector<double> arrivals(16, 0.0);
+  const CountingFactory counting;
+  ServerConfig cfg;
+  cfg.replicas = 2;
+  Server server(counting.factory(), lenet_device(), cfg);
+  const ServeResult r = server.run(arrivals, data.train);
+  ASSERT_EQ(r.batches, 2u);
+  EXPECT_EQ(*counting.calls,
+            cfg.replicas + std::min<std::size_t>(hardware_threads(), 2));
+
+  expect_answers_match_oracles(r, data.train,
+                               replica_oracles(counting, cfg.replicas));
+}
+
+TEST(ServeLanes, TimingOnlyRunBuildsNoLane) {
+  const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
+  const std::vector<double> arrivals =
+      generate_arrivals(poisson(2000.0, 0.05, 11));
+  const CountingFactory counting;
+  ServerConfig cfg;
+  cfg.replicas = 2;
+  cfg.run_model = false;
+  Server server(counting.factory(), lenet_device(), cfg);
+  const ServeResult r = server.run(arrivals, data.train);
+  ASSERT_GT(r.served, 0u);
+  EXPECT_EQ(*counting.calls, cfg.replicas);
+  for (const RequestRecord& req : r.requests) {
+    ASSERT_EQ(req.predicted, -1) << "request " << req.id;
+  }
 }
 
 // A classifier change that flips an answer must move the digest, while the

@@ -145,6 +145,44 @@ TEST(AlignedBuffer, EmptyBufferIsSafe) {
   EXPECT_TRUE(buf.span().empty());
 }
 
+TEST(AlignedBuffer, EnsureGrowsOnlyPastCapacity) {
+  AlignedBuffer buf(64);
+  const float* ptr = buf.data();
+  buf.ensure(8);  // shrinks the live size, keeps the allocation
+  EXPECT_EQ(buf.size(), 8u);
+  EXPECT_GE(buf.capacity(), 64u);
+  EXPECT_EQ(buf.data(), ptr);
+  buf.ensure(64);
+  EXPECT_EQ(buf.size(), 64u);
+  EXPECT_EQ(buf.data(), ptr);
+  const std::size_t capacity = buf.capacity();
+  buf.ensure(capacity + 1);
+  EXPECT_EQ(buf.size(), capacity + 1);
+  EXPECT_GT(buf.capacity(), capacity);
+}
+
+// Grow-only buffers keep their capacity when the live size shrinks; under
+// AddressSanitizer the floats past the live size are poisoned, so a read
+// past size() that stays inside the allocation still dies.
+TEST(AlignedBufferAsan, ReadPastLiveSizeInsideCapacityDies) {
+#ifndef DS_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  AlignedBuffer buf(64);
+  buf.ensure(8);
+  const volatile float* p = buf.data();
+  EXPECT_EQ(p[7], 0.0f);
+  EXPECT_DEATH((void)p[8], "use-after-poison");
+  EXPECT_DEATH((void)p[63], "use-after-poison");
+  buf.ensure(64);  // growing back inside the capacity unpoisons
+  EXPECT_EQ(p[63], 0.0f);
+  // The allocation's rounding slack past an exact size is poisoned too.
+  AlignedBuffer odd(3);
+  const volatile float* q = odd.data();
+  EXPECT_DEATH((void)q[3], "use-after-poison");
+#endif
+}
+
 // -------------------------------- Error -------------------------------------
 
 TEST(Error, CheckThrowsWithMessage) {

@@ -65,6 +65,35 @@ TEST(Tensor, ReshapeRejectsSizeChange) {
   EXPECT_THROW(t.reshape(Shape{5, 5}), Error);
 }
 
+TEST(Tensor, ResizeReallocatesOnlyWhenGrowing) {
+  Tensor t(Shape{8, 4});
+  const float* ptr = t.data();
+  t.resize(Shape{2, 4});
+  EXPECT_EQ(t.shape(), (Shape{2, 4}));
+  EXPECT_EQ(t.numel(), 8u);
+  EXPECT_EQ(t.data(), ptr);
+  t.resize(Shape{4, 8});  // same element count as the first shape
+  EXPECT_EQ(t.numel(), 32u);
+  EXPECT_EQ(t.data(), ptr);
+  t.resize(Shape{16, 4});
+  EXPECT_EQ(t.numel(), 64u);
+  EXPECT_EQ(t.span().size(), 64u);
+}
+
+// Under AddressSanitizer a read past numel() dies even though a shrinking
+// resize kept the larger allocation.
+TEST(TensorAsan, ReadPastResizedNumelDies) {
+#ifndef DS_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  Tensor t(Shape{8, 16});
+  t.resize(Shape{1, 16});
+  const volatile float* p = t.data();
+  EXPECT_EQ(p[15], 0.0f);
+  EXPECT_DEATH((void)p[16], "use-after-poison");
+#endif
+}
+
 TEST(Tensor, CopyIsDeep) {
   Tensor a({4});
   a[0] = 1.0f;

@@ -74,8 +74,10 @@ inline GradCheckResult grad_check_layer(Layer& layer, const Shape& in_shape,
          (init_rng.uniform() < 0.5 ? -1.0f : 1.0f);
   }
 
+  // backward() reads state only a training forward keeps (argmax, stage
+  // activations); the finite differences below compare outputs only.
   Tensor y;
-  layer.forward(x, y, /*train=*/false);
+  layer.forward(x, y, /*train=*/true);
   const ProbeLoss probe(y.numel(), seed + 2);
   const Tensor dy = probe.gradient(y.shape());
 
