@@ -9,22 +9,16 @@
 #include "support/thread_annotations.hpp"
 
 #include "core/easgd_rules.hpp"
-#include "core/evaluator.hpp"
 #include "core/run_harness.hpp"
 #include "data/sampler.hpp"
+#include "nn/forward_lanes.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace ds {
 namespace {
-
-/// A center-weights snapshot pending evaluation after the threads join.
-struct Snapshot {
-  std::size_t iteration = 0;
-  double vtime = 0.0;
-  std::vector<float> weights;
-};
 
 struct MasterState {
   // Deliberately unannotated: the Hogwild variants read and update the
@@ -77,11 +71,14 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   const bool momentum = method == AsyncMethod::kAsyncMomentumSgd ||
                         method == AsyncMethod::kAsyncMomentumEasgd;
 
-  // Master initialisation: one replica defines W̄₀ for everybody.
-  const std::unique_ptr<Network> init_net = ctx.factory();
+  // Master initialisation: one replica, nets[0], defines W̄₀ for
+  // everybody; worker w trains nets[w + 1]. All of them outlive the join
+  // and run the probes after it.
+  std::vector<std::unique_ptr<Network>> nets(cfg.workers + 1);
+  nets[0] = ctx.factory();
   MasterState master;
   {
-    const auto params = init_net->arena().full_params();
+    const auto params = nets[0]->arena().full_params();
     master.center.assign(params.begin(), params.end());
     if (momentum && !easgd) {
       // Workers don't exist yet, but momentum is guarded: take the lock.
@@ -118,7 +115,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     // their own virtual timeline in the exported trace.
     const obs::RankScope obs_rank(static_cast<std::int64_t>(wid));
     DS_TRACE_SPAN("algo", "async_worker");
-    const std::unique_ptr<Network> net = ctx.factory();
+    const std::unique_ptr<Network>& net = nets[wid + 1] = ctx.factory();
     // All workers start from W̄₀. Another worker may already be inside a
     // center update by the time this thread launches, so the locked
     // variants take the FCFS lock even for the initial read.
@@ -242,9 +239,10 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   }
   for (auto& t : threads) t.join();
 
-  // Evaluate the snapshots after the fact (evaluation is not part of the
-  // measured training time). The workers are joined, but the capabilities
-  // still travel with the guarded members — move them out under their locks.
+  // Probe the snapshots after the fact, on the now idle networks (probes
+  // are not part of the measured training time). The workers are joined,
+  // but the capabilities still travel with the guarded members — move them
+  // out under their locks.
   std::vector<Snapshot> snapshots;
   {
     const MutexLock lock(master.trace_mutex);
@@ -260,15 +258,14 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     const MutexLock lock(master.ledger_mutex);
     res.ledger = master.ledger;
   }
-  Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
   double vtime_monotone = 0.0;
-  for (const Snapshot& snap : snapshots) {
-    TracePoint p = eval.evaluate_packed(snap.weights);
-    p.iteration = snap.iteration;
+  for (Snapshot& snap : snapshots) {
     vtime_monotone = std::max(vtime_monotone, snap.vtime);
-    p.vtime = vtime_monotone;
-    res.trace.push_back(p);
+    snap.vtime = vtime_monotone;
   }
+  ThreadPool pool(worker_threads(nets.size()));
+  res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()), ctx,
+                             snapshots);
   finish_run(res, vtime_monotone, master.completed.load());
   res.workers = cfg.workers;
   res.workers_survived = cfg.workers - master.crashed.load();

@@ -1,12 +1,12 @@
-// Test-set evaluation of a candidate weight vector. Every probe reads the
-// first min(eval_samples, test.size()) test samples and reduces their
-// logits through reduce_logits, so a trace point is the same bits whoever
-// computed the logits: the modeled runners infer them on their idle worker
-// replicas (ReplicaSet::probe, DESIGN.md §7), while the fabric and async
-// runners and the benches hand weights to an Evaluator, which owns one
-// scratch network replica. Evaluation happens outside the virtual-time
-// ledger — the paper's timings measure training, with accuracy probed by
-// separate test passes.
+// Test-set evaluation of candidate weights. Every probe reads the first
+// min(eval_samples, test.size()) test samples and reduces their logits
+// through reduce_logits, so a trace point is the same bits whoever computed
+// the logits. The training runners infer them on their own idle networks
+// (probe_on_lanes, core/replica_set.hpp, DESIGN.md §7). Evaluator, which
+// owns one scratch network and infers serially, is the tests' oracle and
+// perfbench's API. Evaluation happens outside the virtual-time ledger —
+// the paper's timings measure training, with accuracy probed by separate
+// test passes.
 #pragma once
 
 #include <cstdint>

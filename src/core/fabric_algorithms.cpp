@@ -7,9 +7,9 @@
 #include "comm/bucket.hpp"
 #include "comm/fabric.hpp"
 #include "core/easgd_rules.hpp"
-#include "core/evaluator.hpp"
 #include "core/run_harness.hpp"
 #include "data/sampler.hpp"
+#include "nn/forward_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/proto.hpp"
@@ -89,7 +89,8 @@ class Rank {
 /// everything around the protocol: the monitor's run hooks, the wire
 /// metrics, one thread per rank with its clock binding, trace span and
 /// ledger, the failure contract, the center's probes and the RunResult. A
-/// runner supplies only its per-rank body.
+/// runner supplies only its per-rank body. The ranks' networks outlive the
+/// join: the probes run on them after it.
 ///
 /// Failure contract: a RankFailure escaping a body — this rank crashed
 /// (kCrashed, already marked failed in the fabric) or a peer vanished
@@ -123,14 +124,15 @@ class FabricRun {
              cluster.model.flops_per_sample / cluster.node_flops),
         up_s((cluster.model.weight_bytes / 4.0) *
              cluster.update_flops_per_param / cluster.node_flops),
+        nets(ranks),
         wire_before_(obs::metrics().snapshot()),
         ledgers_(ranks) {
     DS_CHECK(workers > 0, "need at least one worker");
     obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
     if (!spmd) {
       // W̄₀ and the layer geometry come from one reference replica.
-      reference = ctx.factory();
-      const auto params = reference->arena().full_params();
+      nets[0] = ctx.factory();
+      const auto params = nets[0]->arena().full_params();
       initial.assign(params.begin(), params.end());
       center = initial;
     }
@@ -147,15 +149,17 @@ class FabricRun {
   // communication costs come from the fabric itself, message by message.
   const double fb_s;
   const double up_s;
-  std::unique_ptr<Network> reference;  // kCentered only
-  std::vector<float> initial;          // kCentered only: W̄₀
-  std::vector<float> center;           // written only by rank 0's thread
+  // Slot r is rank r's replica, built by its thread. A centered run's
+  // rank 0 trains none: its slot holds the reference replica.
+  std::vector<std::unique_ptr<Network>> nets;
+  std::vector<float> initial;  // kCentered only: W̄₀
+  std::vector<float> center;   // written only by rank 0's thread
 
   /// Rank 0: round t's center step is done; probe on the eval cadence.
   void round_done(std::size_t t) {
     completed_ = t;
     if (cadence.due(t)) {
-      probes_.push_back(Probe{t, fabric.clock(0), center});
+      probes_.push_back(Snapshot{t, fabric.clock(0), center});
     }
   }
 
@@ -184,13 +188,9 @@ class FabricRun {
     }
     res.aborted = !res.abort_reason.empty();
     res.final_params = std::move(center);
-    Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
-    for (const Probe& probe : probes_) {
-      TracePoint p = eval.evaluate_packed(probe.center);
-      p.iteration = probe.iteration;
-      p.vtime = probe.vtime;
-      res.trace.push_back(p);
-    }
+    ThreadPool pool(worker_threads(ranks));
+    res.trace =
+        probe_on_lanes(&pool, std::span(nets).first(pool.size()), ctx, probes_);
     finish_run(res, fabric.max_clock(),
                res.aborted ? completed_ : cfg.iterations);
     // The measured clock deltas ARE the breakdown, summed in rank order.
@@ -208,12 +208,6 @@ class FabricRun {
   }
 
  private:
-  struct Probe {
-    std::size_t iteration;
-    double vtime;
-    std::vector<float> center;
-  };
-
   void rank_main(std::size_t id, const Role& role) {
     const RankClock rank_clock{&fabric, id};
     const obs::RankScope obs_rank(static_cast<std::int64_t>(id),
@@ -234,7 +228,7 @@ class FabricRun {
       }
       if (id == 0 &&
           (probes_.empty() || probes_.back().iteration < completed_)) {
-        probes_.push_back(Probe{completed_, fabric.clock(0), center});
+        probes_.push_back(Snapshot{completed_, fabric.clock(0), center});
       }
       obs::monitor::hook_failure(static_cast<std::int64_t>(id),
                                  fabric.clock(id), failure.what());
@@ -244,7 +238,7 @@ class FabricRun {
   }
 
   const obs::MetricsSnapshot wire_before_;
-  std::vector<Probe> probes_;        // written only by rank 0's thread
+  std::vector<Snapshot> probes_;     // written only by rank 0's thread
   std::size_t completed_ = 0;        // written only by rank 0's thread
   std::vector<CostLedger> ledgers_;  // slot r written only by rank r
   struct AbortSlot {
@@ -300,17 +294,18 @@ std::vector<float> bucket_push_payload(const BucketPlan& plan, std::size_t b,
   return payload;
 }
 
-/// A worker's model replica and its private batch stream.
+/// A worker's model replica, kept in the run's rank slot, and its private
+/// batch stream.
 class Replica {
  public:
-  Replica(const FabricRun& run, Rank& rank, std::uint64_t seed_mult)
-      : net(run.ctx.factory()),
+  Replica(FabricRun& run, Rank& rank, std::uint64_t seed_mult)
+      : net(run.nets[rank.id] = run.ctx.factory()),
         run_(run),
         rank_(rank),
         sampler_(*run.ctx.train, run.cfg.batch_size,
                  run.cfg.seed * seed_mult + rank.id) {}
 
-  const std::unique_ptr<Network> net;
+  const std::unique_ptr<Network>& net;
 
   std::span<float> params() { return net->arena().full_params(); }
 
@@ -509,7 +504,7 @@ RunResult run_fabric_bucketed_easgd(const AlgoContext& ctx,
 
   FabricRun run(ctx, cluster, FabricRun::Topology::kCentered);
   const std::size_t workers = run.workers;
-  const Buckets bk(*run.reference, cfg.bucketing.bucket_bytes, run.fb_s);
+  const Buckets bk(*run.nets[0], cfg.bucketing.bucket_bytes, run.fb_s);
   const std::size_t nbuckets = bk.count();
   DS_CHECK(nbuckets > 0, "model has no parameters to bucket");
 
@@ -677,7 +672,7 @@ RunResult run_fabric_round_robin_easgd(const AlgoContext& ctx,
   // constant of (workers, iterations, plan).
   const bool bucketed = cfg.bucketing.enabled();
   const Buckets bk =
-      bucketed ? Buckets(*run.reference, cfg.bucketing.bucket_bytes, run.fb_s)
+      bucketed ? Buckets(*run.nets[0], cfg.bucketing.bucket_bytes, run.fb_s)
                : Buckets();
 
   auto master_main = [&](Rank& r) {

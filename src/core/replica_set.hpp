@@ -2,11 +2,12 @@
 // cluster Sync EASGD, KNL partitions): one network, one batch sampler and
 // one batch buffer per simulated device, all starting from the same weights
 // ("copy W to W_j", Algorithm 1). Between gradient steps the replicas are
-// idle, so they also run the run's test probes. Private to src/core.
+// idle, so they also run the run's test probes, through probe_on_lanes,
+// which the fabric and async runners use on their own networks too.
+// Private to src/core.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -18,6 +19,24 @@
 #include "support/thread_pool.hpp"
 
 namespace ds {
+
+/// Packed center weights to probe, taken at `iteration` and virtual time
+/// `vtime`.
+struct Snapshot {
+  std::size_t iteration = 0;
+  double vtime = 0.0;
+  std::vector<float> weights;
+};
+
+/// The trace point of each snapshot, on the first min(eval_samples, test
+/// size) test rows: chunks of batch_size rows run_forwards on `lanes`
+/// (nn/forward_lanes.hpp) and each snapshot's logits reduced by
+/// reduce_logits. Batched inference equals smaller batches bit for bit, so
+/// a point equals a serial probe's of the same rows (core/evaluator.hpp).
+/// Overwrites the lanes' weights.
+std::vector<TracePoint> probe_on_lanes(
+    ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
+    const AlgoContext& ctx, std::span<const Snapshot> snapshots);
 
 class ReplicaSet {
  public:
@@ -42,15 +61,12 @@ class ReplicaSet {
   /// The same step for replica j alone, on the calling thread.
   void compute_gradient(std::size_t j);
 
-  /// Test loss/accuracy of `weights` (packed), or of replica 0's own
-  /// weights when `weights` is empty. Each replica stashes its weights,
-  /// loads the probed ones, infers its contiguous share of the test rows in
-  /// sub-batches of at most batch_size, and restores its weights bit for
-  /// bit; the logits are then reduced here by reduce_logits. The replicas
-  /// run serially or on the pool by the rule of compute_gradients, and
-  /// batched inference is bitwise equal to smaller batches, so the point
-  /// equals an Evaluator's bit for bit.
-  TracePoint probe(std::span<const float> weights);
+  /// The trace point of `snapshot`, or of replica 0's own weights when its
+  /// weights are empty, probed on the replicas by probe_on_lanes. Each
+  /// replica stashes its own weights first and gets them back bit for bit.
+  /// The replicas run serially or on the pool by the rule of
+  /// compute_gradients.
+  TracePoint probe(Snapshot snapshot);
 
  private:
   struct Input {
@@ -59,22 +75,17 @@ class ReplicaSet {
     BatchSampler sampler;
     Tensor batch;
     std::vector<std::int32_t> labels;
-    std::vector<std::size_t> rows;  // the test rows of a probe sub-batch
-    std::vector<float> stash;       // own weights while probing others
-    bool stepped = false;           // took a gradient step: buffers grown
+    std::vector<float> stash;  // own weights while probing others
+    bool stepped = false;      // took a gradient step: buffers grown
   };
 
-  /// Runs task(j) for every replica, serially or on the pool.
-  void for_each(const std::function<void(std::size_t)>& task);
-  /// Replica j's part of probe().
-  void probe_share(std::size_t j, std::span<const float> weights);
+  /// The pool once every replica has stepped; null (serial on the caller)
+  /// before that or with one thread.
+  ThreadPool* pool();
 
+  const AlgoContext& ctx_;
   std::vector<std::unique_ptr<Network>> nets_;
   std::vector<Input> inputs_;
-  std::size_t batch_size_;
-  const Dataset& test_;
-  std::size_t probe_rows_;
-  Tensor logits_;  // probe_rows_ × classes
   std::size_t threads_;
   std::unique_ptr<ThreadPool> pool_;  // built on the first concurrent call
 };

@@ -88,12 +88,8 @@ const TracePoint* ModeledRun::round_done(std::size_t t, double seconds) {
 }
 
 void ModeledRun::probe(std::size_t t) {
-  TracePoint p = replicas.probe(model_ == Model::kCenter
-                                    ? std::span<const float>(center)
-                                    : std::span<const float>());
-  p.iteration = t;
-  p.vtime = vtime;
-  res.trace.push_back(p);
+  res.trace.push_back(replicas.probe(
+      {t, vtime, model_ == Model::kCenter ? center : std::vector<float>()}));
 }
 
 void ModeledRun::easgd_round(float lr) {

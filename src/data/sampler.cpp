@@ -19,20 +19,27 @@ void BatchSampler::next(Tensor& images, std::vector<std::int32_t>& labels) {
   gather_batch(dataset_, indices, images, labels);
 }
 
-void gather_batch(const Dataset& dataset,
-                  const std::vector<std::size_t>& indices, Tensor& images,
-                  std::vector<std::int32_t>& labels) {
+void gather_images(const Dataset& dataset,
+                   std::span<const std::size_t> indices, Tensor& images) {
   const std::size_t sample = dataset.sample_numel();
   const Shape want{indices.size(), dataset.images.dim(1),
                    dataset.images.dim(2), dataset.images.dim(3)};
   images.resize(want);
-  labels.resize(indices.size());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     DS_CHECK(indices[i] < dataset.size(),
              "batch index " << indices[i] << " out of " << dataset.size());
     std::memcpy(images.data() + i * sample,
                 dataset.images.data() + indices[i] * sample,
                 sample * sizeof(float));
+  }
+}
+
+void gather_batch(const Dataset& dataset,
+                  const std::vector<std::size_t>& indices, Tensor& images,
+                  std::vector<std::int32_t>& labels) {
+  gather_images(dataset, indices, images);
+  labels.resize(indices.size());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
     labels[i] = dataset.labels[indices[i]];
   }
 }

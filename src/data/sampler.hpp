@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -34,7 +35,11 @@ class BatchSampler {
   Rng rng_;
 };
 
-/// Copy the samples at `indices` into a batch tensor + label vector.
+/// Copy the images at `indices` into a batch tensor (grow-only resize).
+void gather_images(const Dataset& dataset,
+                   std::span<const std::size_t> indices, Tensor& images);
+
+/// gather_images plus the samples' labels.
 void gather_batch(const Dataset& dataset,
                   const std::vector<std::size_t>& indices, Tensor& images,
                   std::vector<std::int32_t>& labels);

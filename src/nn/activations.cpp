@@ -124,6 +124,7 @@ std::string Dropout::name() const {
 void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
   y.resize(x.shape());
   const std::size_t n = x.numel();
+  trained_ = train;
   if (!train || drop_prob_ == 0.0) {
     copy(x.span(), y.span());
     return;
@@ -140,11 +141,13 @@ void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
 
 void Dropout::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
                        Tensor& dx) {
-  dx.resize(x.shape());
   const std::size_t n = x.numel();
+  DS_CHECK(trained_ && (drop_prob_ == 0.0 || mask_.size() == n),
+           "dropout backward needs a training forward of this input first");
+  dx.resize(x.shape());
   const float* g = dy.data();
   float* out = dx.data();
-  if (mask_.size() != n) {  // eval-mode forward: identity
+  if (drop_prob_ == 0.0) {  // p = 0 keeps every unit: identity
     copy(dy.span(), dx.span());
     return;
   }

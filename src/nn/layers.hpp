@@ -78,6 +78,7 @@ class Dropout final : public Layer {
   double drop_prob_;
   Rng rng_;
   std::vector<float> mask_;
+  bool trained_ = false;  // the last forward was a training one
 };
 
 // ---------------------------------------------------------------------------
@@ -222,9 +223,10 @@ class LocalResponseNorm final : public Layer {
   double alpha_;
   double beta_;
   double k_;
-  std::vector<float> scale_;  // s^{−β} per element, from forward
+  std::vector<float> scale_;  // s^{−β} per element, from a training forward
   std::vector<float> work_;   // backward scratch: one sample's s, then dy·y/s
   std::vector<PowSlot> memo_;  // direct-mapped on the low bits of s
+  bool trained_ = false;       // the last forward was a training one
 };
 
 /// Dense layer: y = x·Wᵀ + b. Parameters are [out × in] weights then [out]

@@ -67,12 +67,15 @@ std::string LocalResponseNorm::name() const {
   return os.str();
 }
 
-void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool /*train*/) {
+void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool train) {
   DS_CHECK(x.rank() == 4, "lrn input must be NCHW");
   y.resize(x.shape());
   const std::size_t batch = x.dim(0), channels = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
-  scale_.resize(x.numel());
+  // Backward reads s^{−β} per element; inference forms each row's in its
+  // output row instead.
+  trained_ = train;
+  if (train) scale_.resize(x.numel());
   const long half = static_cast<long>(size_ / 2);
   const float coeff = static_cast<float>(alpha_ / static_cast<double>(size_));
   const float k = static_cast<float>(k_);
@@ -82,10 +85,9 @@ void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   for (std::size_t n = 0; n < batch; ++n) {
     const float* xn = x.data() + n * channels * hw;
     float* yn = y.data() + n * channels * hw;
-    float* sn = scale_.data() + n * channels * hw;
     for (std::size_t c = 0; c < channels; ++c) {
       const auto [lo, hi] = channel_window(c, channels, half);
-      float* pr = sn + c * hw;
+      float* pr = train ? scale_.data() + (n * channels + c) * hw : yn + c * hw;
       lrn_scale(xn, hw, lo, hi, k, coeff, pr);
       // s → s^{−β}. powf is pure, so a memo keyed on the exact bits of s
       // returns exactly what the call would.
@@ -105,8 +107,8 @@ void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool /*train*/) {
 
 void LocalResponseNorm::backward(const Tensor& x, const Tensor& y,
                                  const Tensor& dy, Tensor& dx) {
-  DS_CHECK(x.rank() == 4 && scale_.size() == x.numel(),
-           "lrn backward before forward");
+  DS_CHECK(trained_ && x.rank() == 4 && scale_.size() == x.numel(),
+           "lrn backward needs a training forward of this input first");
   DS_CHECK(y.shape() == x.shape() && dy.shape() == x.shape(),
            "lrn backward: y " << y.shape().str() << " and dy "
                               << dy.shape().str() << " must match x "

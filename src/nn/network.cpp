@@ -69,6 +69,7 @@ void Network::finalize(Rng& rng) {
   }
   DS_CHECK(s.rank() == 2, "network must end with N×classes logits, got "
                               << s.str() << " — add a Flatten/FC head");
+  classes_ = s.dim(1);
 
   for (auto& l : layers_) l->init_params(rng);
   acts_.resize(layers_.size());

@@ -92,6 +92,8 @@ class Network {
   // -------------------------------------------------------------------
 
   const Shape& input_shape() const { return input_shape_; }
+  /// Logit columns: the width of the last layer's output.
+  std::size_t classes() const { return classes_; }
   std::size_t layer_count() const { return layers_.size(); }
   const Layer& layer(std::size_t i) const { return *layers_[i]; }
 
@@ -114,6 +116,7 @@ class Network {
   ParamArena arena_;
   SoftmaxCrossEntropy loss_;
   bool finalized_ = false;
+  std::size_t classes_ = 0;
   double flops_per_sample_ = 0.0;
   std::vector<double> layer_flops_;
 

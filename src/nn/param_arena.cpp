@@ -143,4 +143,18 @@ void ParamArena::copy_params_from(const ParamArena& other) {
   }
 }
 
+void ParamArena::save_params(std::span<float> packed) const {
+  DS_CHECK(packed.size() == total_, packed.size() << " vs " << total_);
+  for (std::size_t l = 0, at = 0; l < sizes_.size(); at += sizes_[l++]) {
+    copy(layer_params(l), packed.subspan(at, sizes_[l]));
+  }
+}
+
+void ParamArena::load_params(std::span<const float> packed) {
+  DS_CHECK(packed.size() == total_, packed.size() << " vs " << total_);
+  for (std::size_t l = 0, at = 0; l < sizes_.size(); at += sizes_[l++]) {
+    copy(packed.subspan(at, sizes_[l]), layer_params(l));
+  }
+}
+
 }  // namespace ds

@@ -85,6 +85,12 @@ class ParamArena {
   /// (works across pack modes).
   void copy_params_from(const ParamArena& other);
 
+  /// Copy every weight into `packed` (total_params() floats, layers back to
+  /// back) or back from it, layer by layer, so either works in both pack
+  /// modes.
+  void save_params(std::span<float> packed) const;
+  void load_params(std::span<const float> packed);
+
  private:
   PackMode mode_ = PackMode::kPacked;
   std::vector<std::size_t> sizes_;

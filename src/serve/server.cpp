@@ -1,18 +1,15 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstring>
 #include <queue>
-#include <thread>
 
+#include "nn/forward_lanes.hpp"
 #include "nn/serialize.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
-#include "tensor/gemm.hpp"
 
 namespace ds::serve {
 
@@ -54,23 +51,6 @@ inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
   return h;
 }
 
-// Copy the pool samples of one batch's requests into `input`.
-void coalesce(const std::vector<std::uint64_t>& ids, const Dataset& pool,
-              Tensor& input) {
-  const std::size_t sample_numel = pool.sample_numel();
-  const Shape sample_shape = pool.sample_shape();  // dims() borrows from it
-  std::vector<std::size_t> dims;
-  dims.push_back(ids.size());
-  for (const std::size_t d : sample_shape.dims()) dims.push_back(d);
-  input.resize(Shape(std::move(dims)));
-  for (std::size_t b = 0; b < ids.size(); ++b) {
-    const std::size_t src = ids[b] % pool.size();
-    std::memcpy(input.data() + b * sample_numel,
-                pool.images.data() + src * sample_numel,
-                sample_numel * sizeof(float));
-  }
-}
-
 }  // namespace
 
 double ServeResult::latency_quantile_ms(double q) const {
@@ -106,10 +86,9 @@ struct Server::Impl {
   NetworkFactory factory;
   GpuSystem device;  // by value: timing model outlives any caller's copy
 
-  // A replica holds the weights its batches are answered with; its network
-  // never runs a forward, so it never grows activation buffers.
+  // A replica holds the packed weights its batches are answered with.
   struct Replica {
-    std::unique_ptr<Network> net;
+    std::vector<float> weights;
     bool active = false;
     bool busy = false;
     // This run's batches as request ids, in dispatch order; while the
@@ -118,14 +97,10 @@ struct Server::Impl {
   };
   std::vector<Replica> replicas;
   std::size_t active_count = 0;
-  // A lane runs recorded batches on its own network, loading the weights
-  // of each batch's replica. Lanes and the pool are built on first use and
-  // kept warm across runs.
-  struct Lane {
-    std::unique_ptr<Network> net;
-    Tensor input;  // coalesced batch
-  };
-  std::vector<Lane> lanes;
+  Shape input_shape;  // every network the factory builds takes this
+  // Server-owned networks that run the recorded batches (answer()).
+  // Lanes and the pool are built on first use and kept warm across runs.
+  std::vector<std::unique_ptr<Network>> lanes;
   std::unique_ptr<ThreadPool> forward_pool;
 
   // Cached instrument references (registration is find-or-create once).
@@ -148,72 +123,54 @@ struct Server::Impl {
     std::unique_ptr<Network> net = factory();
     DS_CHECK(net != nullptr && net->finalized(),
              "serve replica factory must return a finalized network");
+    input_shape = net->input_shape();
     return net;
   }
 
-  std::unique_ptr<Network> build_replica(const ServerConfig& config) {
-    std::unique_ptr<Network> net = build_network();
+  std::vector<float> build_replica(const ServerConfig& config) {
+    const std::unique_ptr<Network> net = build_network();
     if (!config.checkpoint_path.empty()) {
       load_checkpoint(*net, config.checkpoint_path);
     }
-    return net;
+    std::vector<float> weights(net->param_count());
+    net->arena().save_params(weights);
+    return weights;
   }
 
   // Run this run's recorded batches on min(hardware threads, batches)
-  // lanes and store each request's argmax class in `predicted`. Lanes take
-  // batches from one shared cursor in (replica, dispatch) order and load a
-  // replica's weights before its first batch on that lane. Batched
-  // inference is bitwise equal to batch-1 calls and every lane computes
-  // with the exact weights of the batch's replica, so the answers do not
-  // depend on which lane runs a batch.
-  void run_forwards(const Dataset& pool,
-                    std::vector<std::int32_t>& predicted) {
-    struct Work {
-      std::size_t replica;
-      const std::vector<std::uint64_t>* ids;
-    };
-    std::vector<Work> work;
-    for (std::size_t r = 0; r < replicas.size(); ++r) {
-      for (const std::vector<std::uint64_t>& ids : replicas[r].batches) {
-        work.push_back(Work{r, &ids});
+  // lanes and store each answer's argmax class in its request's
+  // `predicted`. The jobs go in (replica, dispatch) order, so a lane
+  // reloads weights only when it crosses to another replica's batches.
+  void answer(const Dataset& pool, std::vector<RequestRecord>& requests) {
+    // Every batch's pool rows, back to back. A request is in at most one
+    // batch, so the reserve keeps the jobs' spans valid.
+    std::vector<std::size_t> rows;
+    rows.reserve(requests.size());
+    std::vector<ForwardJob> jobs;
+    std::vector<const std::vector<std::uint64_t>*> batches;
+    for (const Replica& r : replicas) {
+      for (const std::vector<std::uint64_t>& ids : r.batches) {
+        for (const std::uint64_t id : ids) rows.push_back(id % pool.size());
+        jobs.push_back({r.weights, std::span(rows).last(ids.size())});
+        batches.push_back(&ids);
       }
     }
-    if (work.empty()) return;
-    const std::size_t threads =
-        std::max(1u, std::thread::hardware_concurrency());
-    const std::size_t lane_count = std::min(threads, work.size());
-    while (lanes.size() < lane_count) {
-      lanes.push_back(Lane{build_network(), Tensor()});
+    if (jobs.empty()) return;
+    const std::size_t lane_count = worker_threads(jobs.size());
+    while (lanes.size() < lane_count) lanes.push_back(build_network());
+    if (!forward_pool || forward_pool->size() < lane_count) {
+      forward_pool = std::make_unique<ThreadPool>(lane_count);
     }
-    if (!forward_pool) forward_pool = std::make_unique<ThreadPool>(threads);
-    // The rules of ReplicaSet::compute_gradients (DESIGN.md §7): tasks keep
-    // the caller's kernel choices but not its intra-GEMM threading, and
-    // trace on the caller's rank.
-    KernelConfig task_config = kernel_config();
-    task_config.gemm_threads = 1;
-    const std::int64_t rank = obs::thread_rank();
-    std::atomic<std::size_t> cursor{0};
-    forward_pool->parallel_for(lane_count, [&](std::size_t l) {
-      kernel_config() = task_config;
-      const obs::RankScope obs_rank(rank);
-      Lane& lane = lanes[l];
-      std::size_t loaded = replicas.size();  // none yet this run
-      for (std::size_t i = cursor++; i < work.size(); i = cursor++) {
-        const std::vector<std::uint64_t>& ids = *work[i].ids;
-        if (work[i].replica != loaded) {
-          loaded = work[i].replica;
-          lane.net->arena().copy_params_from(replicas[loaded].net->arena());
-        }
-        coalesce(ids, pool, lane.input);
-        const Tensor& logits = lane.net->infer(lane.input);
-        const std::size_t classes = logits.numel() / ids.size();
-        for (std::size_t b = 0; b < ids.size(); ++b) {
-          const float* row = logits.data() + b * classes;
-          predicted[ids[b]] = static_cast<std::int32_t>(
-              std::max_element(row, row + classes) - row);
-        }
-      }
-    });
+    run_forwards(forward_pool.get(), lanes, pool, jobs,
+                 [&](std::size_t i, const Tensor& logits) {
+                   const std::vector<std::uint64_t>& ids = *batches[i];
+                   const std::size_t classes = logits.numel() / ids.size();
+                   for (std::size_t b = 0; b < ids.size(); ++b) {
+                     const float* row = logits.data() + b * classes;
+                     requests[ids[b]].predicted = static_cast<std::int32_t>(
+                         std::max_element(row, row + classes) - row);
+                   }
+                 });
   }
 };
 
@@ -238,7 +195,7 @@ Server::Server(NetworkFactory factory, const GpuSystem& device,
   }
   impl_->replicas.resize(ceiling);
   for (std::size_t i = 0; i < config_.replicas; ++i) {
-    impl_->replicas[i].net = impl_->build_replica(config_);
+    impl_->replicas[i].weights = impl_->build_replica(config_);
     impl_->replicas[i].active = true;
   }
   impl_->active_count = config_.replicas;
@@ -252,12 +209,10 @@ ServeResult Server::run(const std::vector<double>& arrivals,
                         const Dataset& pool) {
   DS_CHECK(pool.size() > 0, "serve request pool is empty");
   Impl& s = *impl_;
-  // Every replica comes from the same factory, so replica 0 speaks for all.
-  DS_CHECK(!config_.run_model ||
-               pool.sample_shape() == s.replicas.front().net->input_shape(),
+  DS_CHECK(!config_.run_model || pool.sample_shape() == s.input_shape,
            "serve request pool samples are "
                << pool.sample_shape().str() << ", replicas expect "
-               << s.replicas.front().net->input_shape().str());
+               << s.input_shape.str());
   for (Impl::Replica& replica : s.replicas) replica.batches.clear();
   const BatchPolicy& policy = config_.batch;
   const bool traced = obs::tracing_enabled();
@@ -494,8 +449,8 @@ ServeResult Server::run(const std::vector<double>& arrivals,
           }
         }
         if (idx == s.replicas.size()) break;
-        if (s.replicas[idx].net == nullptr) {
-          s.replicas[idx].net = s.build_replica(config_);
+        if (s.replicas[idx].weights.empty()) {
+          s.replicas[idx].weights = s.build_replica(config_);
         }
         s.replicas[idx].active = true;
         ++s.active_count;
@@ -513,13 +468,7 @@ ServeResult Server::run(const std::vector<double>& arrivals,
 
   DS_CHECK(batcher.empty(),
            "serve event loop drained with requests still queued");
-  if (config_.run_model) {
-    std::vector<std::int32_t> predicted(arrivals.size(), -1);
-    s.run_forwards(pool, predicted);
-    for (std::size_t i = 0; i < arrivals.size(); ++i) {
-      result.requests[i].predicted = predicted[i];
-    }
-  }
+  if (config_.run_model) s.answer(pool, result.requests);
   result.duration_s = last_event_time;
   result.final_replicas = s.active_count;
   result.latency_usec = s.latency_hist.window().since(latency_before);

@@ -1,9 +1,10 @@
 // Inference serving front-end (DESIGN.md §12, ROADMAP item 3).
 //
-// A forward-only server over N model replicas: each replica owns a
-// `nn::Network` (optionally restored from a `nn/serialize` checkpoint) and
-// is pinned to a simulated device whose timing comes from `simhw::GpuSystem`
-// (batch copy-in, forward-fraction flops + launch overhead, reply copy-out).
+// A forward-only server over N model replicas: each replica holds the
+// weights of one factory-built `nn::Network` (optionally restored from a
+// `nn/serialize` checkpoint) and is pinned to a simulated device whose
+// timing comes from `simhw::GpuSystem` (batch copy-in, forward-fraction
+// flops + launch overhead, reply copy-out).
 // Requests come from an open-loop arrival trace (serve/workload.hpp), flow
 // through the dynamic batcher + admission control (serve/batcher.hpp), and
 // leave as replies or sheds.
@@ -15,8 +16,8 @@
 // which requests each replica's batches hold. After it drains, the batches
 // run on L = min(hardware threads, batches) forward lanes: networks the
 // server owns, which take batches from one shared cursor in (replica,
-// dispatch) order and load a replica's weights before running its batches.
-// Replicas only hold weights. Same seed ⇒ identical request outcome
+// dispatch) order and load a replica's weights before running its batches
+// (nn/forward_lanes.hpp). Same seed ⇒ identical request outcome
 // sequence, batch assignments, predictions, and per-replica trace event
 // sequences (asserted by tests/serve_test.cpp), whichever lane runs which
 // batch, exactly like the training runners.

@@ -3,9 +3,12 @@
 // must actually climb.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
+#include <memory>
 #include <string>
 
+#include "core/evaluator.hpp"
 #include "core/fabric_algorithms.hpp"
 #include "core/knl_algorithms.hpp"
 #include "core/methods.hpp"
@@ -262,6 +265,44 @@ TEST(Async, MethodNamesAreDistinct) {
     names.insert(async_method_name(m));
   }
   EXPECT_EQ(names.size(), 6u);
+}
+
+TEST(AsyncProbes, LastPointEqualsASerialEvaluatorOfTheFinalCenter) {
+  // One worker makes a locked run deterministic, and with eval_every =
+  // iterations the last probe is of the final center. The probes run on
+  // the run's own networks after the join; a serial Evaluator must agree.
+  Fixture f;
+  f.ctx.config.workers = 1;
+  f.ctx.config.iterations = 40;
+  f.ctx.config.eval_every = 40;
+  f.ctx.config.eval_samples = 100;  // neither a batch nor a chunk multiple
+  for (const auto m :
+       {AsyncMethod::kAsyncSgd, AsyncMethod::kAsyncMomentumSgd,
+        AsyncMethod::kAsyncEasgd, AsyncMethod::kAsyncMomentumEasgd}) {
+    SCOPED_TRACE(async_method_name(m));
+    const RunResult r = run_async(f.ctx, f.hw, m);
+    ASSERT_FALSE(r.trace.empty());
+    EXPECT_EQ(r.trace.back().iteration, 40u);
+    Evaluator oracle(f.ctx.factory, f.data.test, f.ctx.config.eval_samples);
+    const TracePoint want = oracle.evaluate_packed(r.final_params);
+    EXPECT_EQ(r.trace.back().loss, want.loss);
+    EXPECT_EQ(r.trace.back().accuracy, want.accuracy);
+  }
+}
+
+TEST(AsyncProbes, RunsBuildOneNetworkPerWorkerPlusTheInitialOne) {
+  Fixture f;
+  f.ctx.config.iterations = 30;
+  f.ctx.config.eval_every = 10;
+  const auto calls = std::make_shared<std::atomic<std::size_t>>(0);
+  f.ctx.factory = [calls] {
+    ++*calls;
+    Rng rng(17);
+    return make_tiny_mlp(rng);
+  };
+  const RunResult r = run_async(f.ctx, f.hw, AsyncMethod::kAsyncEasgd);
+  ASSERT_FALSE(r.trace.empty());
+  EXPECT_EQ(calls->load(), f.ctx.config.workers + 1);
 }
 
 // ------------------------------ Dispatcher -----------------------------------

@@ -258,13 +258,30 @@ TEST(DsLintTokenizer, LineNumbersSurviveMultilineConstructs) {
   expect_single(lint("src/comm/x.cpp", src), "unordered-container", 6);
 }
 
+TEST(DsLintRules, WorkerKernelConfig) {
+  const char* src =
+      "void task() {\n"
+      "  KernelConfig c = kernel_config();\n"
+      "  c.gemm_threads = 1;\n"
+      "  if (c.gemm_threads == 1) run();\n"
+      "}\n";
+  expect_single(lint("src/serve/lanes.cpp", src), "worker-kernel-config", 3);
+}
+
+TEST(DsLintRules, WorkerKernelConfigAllowsTheKernelsAndTheLanes) {
+  const char* src = "void f(KernelConfig& c) { c.gemm_threads = 4; }\n";
+  EXPECT_TRUE(lint("src/tensor/gemm.cpp", src).empty());
+  EXPECT_TRUE(lint("src/nn/forward_lanes.cpp", src).empty());
+  EXPECT_TRUE(lint("tests/gemm_property_test.cpp", src).empty());
+}
+
 // ---------------------------------------------------------------------
 // Library plumbing.
 // ---------------------------------------------------------------------
 
 TEST(DsLintConfig, RuleCatalogIsStable) {
   const auto& ids = ds::lint::rule_ids();
-  EXPECT_EQ(ids.size(), 9u);
+  EXPECT_EQ(ids.size(), 10u);
   EXPECT_EQ(ids.front(), "wallclock");
 }
 

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/evaluator.hpp"
 #include "core/fabric_algorithms.hpp"
 #include "core/knl_algorithms.hpp"
 #include "data/dataset.hpp"
@@ -147,6 +154,76 @@ TEST(FabricEasgd, SingleRankDegeneratesToLocalTraining) {
   f.ctx.config.rho = 0.9f / 0.05f;
   const RunResult r = run_fabric_easgd(f.ctx, FabricClusterConfig{});
   EXPECT_GT(r.final_accuracy, 0.6);
+}
+
+// ---------------------------- Probes on the ranks ----------------------------
+
+using FabricRunner = std::function<RunResult(const AlgoContext&)>;
+
+/// The four fabric runners, named; the bucketed one in its deterministic
+/// mode.
+std::vector<std::pair<std::string, FabricRunner>> fabric_runners() {
+  const FabricClusterConfig cluster;
+  return {
+      {"spmd", [cluster](const AlgoContext& c) {
+         return run_fabric_easgd(c, cluster);
+       }},
+      {"parameter server", [cluster](const AlgoContext& c) {
+         return run_fabric_async_easgd(c, cluster);
+       }},
+      {"bucketed", [cluster](const AlgoContext& c) {
+         AlgoContext b = c;
+         b.config.bucketing.bucket_bytes = 2048;  // tiny_mlp: 2 buckets
+         return run_fabric_bucketed_easgd(b, cluster);
+       }},
+      {"round robin", [cluster](const AlgoContext& c) {
+         return run_fabric_round_robin_easgd(c, cluster);
+       }},
+  };
+}
+
+TEST(FabricProbes, LastPointEqualsASerialEvaluatorOfTheFinalCenter) {
+  // The probes run on the ranks' own networks after the join, in chunks of
+  // batch_size rows; a serial Evaluator on a fresh network in 64-row chunks
+  // must give the same bits for the run's final center.
+  Fixture f;
+  f.ctx.config.workers = 3;
+  f.ctx.config.iterations = 30;
+  f.ctx.config.eval_every = 10;
+  f.ctx.config.eval_samples = 100;  // neither a batch nor a chunk multiple
+  f.ctx.config.rho = 0.9f / (3.0f * 0.05f);
+  for (const auto& [name, run] : fabric_runners()) {
+    SCOPED_TRACE(name);
+    const RunResult r = run(f.ctx);
+    ASSERT_FALSE(r.trace.empty());
+    EXPECT_EQ(r.trace.back().iteration, 30u);
+    Evaluator oracle(f.ctx.factory, f.data.test, f.ctx.config.eval_samples);
+    const TracePoint want = oracle.evaluate_packed(r.final_params);
+    EXPECT_EQ(r.trace.back().loss, want.loss);
+    EXPECT_EQ(r.trace.back().accuracy, want.accuracy);
+  }
+}
+
+TEST(FabricProbes, RunsBuildOneNetworkPerRankAndNoneForEvaluation) {
+  // SPMD: one replica per rank. Centered: one per worker plus the
+  // reference on the center rank. The probes reuse them.
+  Fixture f;
+  f.ctx.config.workers = 3;
+  f.ctx.config.iterations = 12;
+  f.ctx.config.eval_every = 4;
+  const auto calls = std::make_shared<std::atomic<std::size_t>>(0);
+  f.ctx.factory = [calls] {
+    ++*calls;
+    Rng rng(17);
+    return make_tiny_mlp(rng);
+  };
+  for (const auto& [name, run] : fabric_runners()) {
+    SCOPED_TRACE(name);
+    *calls = 0;
+    const RunResult r = run(f.ctx);
+    ASSERT_FALSE(r.trace.empty());
+    EXPECT_EQ(calls->load(), name == "spmd" ? 3u : 4u);
+  }
 }
 
 }  // namespace

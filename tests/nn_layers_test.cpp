@@ -136,8 +136,9 @@ TEST(DropoutLayer, RejectsInvalidProbability) {
   EXPECT_THROW(Dropout(1.0), Error);
 }
 
-TEST(DropoutLayer, BackwardAfterEvalForwardIsIdentity) {
-  // Evaluation-mode forward must not leave a stale mask behind.
+TEST(DropoutLayer, BackwardAfterEvalForwardThrows) {
+  // Backward needs the mask of a training forward; a layer that only ran
+  // in evaluation mode has none.
   Dropout d(0.5, 9);
   Tensor x({1, 16});
   x.fill(1.0f);
@@ -145,8 +146,32 @@ TEST(DropoutLayer, BackwardAfterEvalForwardIsIdentity) {
   d.forward(x, y, /*train=*/false);
   Tensor dy({1, 16});
   dy.fill(3.0f);
+  EXPECT_THROW(d.backward(x, y, dy, dx), Error);
+}
+
+TEST(DropoutLayer, BackwardAfterTrainThenEvalForwardThrows) {
+  // The training mask is still there and the element count matches, but
+  // the last forward ran in evaluation mode: its mask is stale.
+  Dropout d(0.5, 9);
+  Tensor x({2, 8});
+  x.fill(1.0f);
+  Tensor y, dx;
+  d.forward(x, y, /*train=*/true);
+  d.forward(x, y, /*train=*/false);
+  Tensor dy({2, 8});
+  dy.fill(3.0f);
+  EXPECT_THROW(d.backward(x, y, dy, dx), Error);
+}
+
+TEST(DropoutLayer, ZeroProbabilityTrainingBackwardIsIdentity) {
+  Dropout d(0.0);
+  Tensor x({1, 16});
+  x.fill(2.0f);
+  Tensor y, dx;
+  d.forward(x, y, /*train=*/true);
+  Tensor dy({1, 16});
+  dy.fill(3.0f);
   d.backward(x, y, dy, dx);
-  // A fresh layer that never trained has no mask: gradient passes through.
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(dx[i], 3.0f);
 }
 
@@ -537,6 +562,19 @@ TEST(LrnLayer, BackwardRejectsMismatchedGradient) {
   EXPECT_THROW(lrn.backward(x, short_y, dy, dx), Error);
 }
 
+TEST(LrnLayer, BackwardAfterTrainThenInferenceForwardThrows) {
+  // An inference forward keeps no per-element scale, so the one left by the
+  // training forward before it must not reach a backward.
+  LocalResponseNorm lrn;
+  Rng rng(8);
+  Tensor x({2, 6, 3, 3}), y, dx;
+  fill_random(x, rng);
+  lrn.forward(x, y, true);
+  lrn.forward(x, y, false);
+  Tensor dy(x.shape());
+  EXPECT_THROW(lrn.backward(x, y, dy, dx), Error);
+}
+
 // ----------------------- Bitwise reference battery -------------------------
 //
 // The LRN and max-pool kernels are vectorised rewrites whose contract is to
@@ -716,6 +754,20 @@ TEST(LrnBitwise, MatchesReferenceOverShapeBattery) {
       }
     }
   }
+}
+
+// Inference computes s^{-β} one row at a time instead of into the
+// per-element buffer; the output is the same bits.
+TEST(LrnBitwise, InferenceForwardMatchesTraining) {
+  Rng rng(31);
+  Tensor x({4, 9, 5, 7});
+  fill_random(x, rng, 2.0);
+  LocalResponseNorm trained(5, 0.5, 0.75, 1.0);
+  LocalResponseNorm inferred(5, 0.5, 0.75, 1.0);
+  Tensor want, got;
+  trained.forward(x, want, true);
+  inferred.forward(x, got, false);
+  EXPECT_TRUE(bitwise_equal(got, want));
 }
 
 // The powf memo keeps state across calls; that state must never show in

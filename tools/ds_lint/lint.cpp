@@ -181,7 +181,8 @@ const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> ids = {
       "wallclock",          "unseeded-rng",      "unordered-container",
       "pointer-key",        "raw-trace-span",    "hook-discipline",
-      "ledger-discipline",  "json-include-hygiene", "suppression-syntax",
+      "ledger-discipline",  "json-include-hygiene", "worker-kernel-config",
+      "suppression-syntax",
   };
   return ids;
 }
@@ -205,6 +206,9 @@ Config default_config() {
   // ledgers; everywhere else (tests, tools building fixture results) bare
   // charge() is legitimate. Default off, on for the runner directories.
   cfg.rule_defaults["ledger-discipline"] = false;
+  // The worker rules (gemm_threads = 1 per task) live in one place; only
+  // the kernels that define the knob and that place may assign it.
+  cfg.rule_defaults["worker-kernel-config"] = false;
   cfg.overrides = {
       // The virtual-time contract's two wall-clock doors: the tracer's
       // wall epoch and the bench harness timer.
@@ -228,6 +232,9 @@ Config default_config() {
       {"src/comm/", "ledger-discipline", true},
       // ledger.cpp itself implements charge_traced in terms of charge().
       {"src/comm/ledger.cpp", "ledger-discipline", false},
+      {"src/", "worker-kernel-config", true},
+      {"src/tensor/", "worker-kernel-config", false},
+      {"src/nn/forward_lanes.cpp", "worker-kernel-config", false},
   };
   cfg.include_allowlists["src/obs/json.hpp"] = {
       "cstdint", "map", "memory", "string", "string_view", "vector"};
@@ -527,6 +534,21 @@ void rule_ledger_discipline(const RuleCtx& ctx) {
   }
 }
 
+void rule_worker_kernel_config(const RuleCtx& ctx) {
+  const Sig& sig = ctx.sig;
+  for (std::size_t i = 0; i < sig.toks.size(); ++i) {
+    const Token* t = sig.toks[i];
+    if (!is_ident(t, "gemm_threads") || !is_punct(sig.at(i + 1), "=") ||
+        is_punct(sig.at(i + 2), "=")) {
+      continue;
+    }
+    ctx.emit(ctx.sink, t->line, "worker-kernel-config",
+             "`gemm_threads` assigned outside src/tensor — run worker tasks "
+             "through worker_parallel_for (nn/forward_lanes.hpp), which "
+             "applies the worker rules once");
+  }
+}
+
 void rule_json_include_hygiene(const Config& cfg, std::string_view path,
                                const std::vector<Token>& toks,
                                const RuleCtx& ctx) {
@@ -620,6 +642,7 @@ std::vector<Diagnostic> lint_file(const Config& config, std::string_view path,
     rule_ledger_discipline(ctx);
   }
   rule_json_include_hygiene(config, path, toks, ctx);
+  rule_worker_kernel_config(ctx);
 
   if (config.rule_enabled("suppression-syntax", path)) {
     for (Diagnostic& d : scan.errors) sink.diags.push_back(std::move(d));

@@ -30,6 +30,10 @@
 //   json-include-hygiene   src/obs/json.{hpp,cpp} include only their frozen
 //                          allowlists — the "no dependencies beyond the
 //                          standard library" contract.
+//   worker-kernel-config   no `gemm_threads` assignment in src/ outside
+//                          src/tensor and nn/forward_lanes.cpp: worker
+//                          tasks get their kernel rules from
+//                          worker_parallel_for, the one copy.
 //   suppression-syntax     malformed // ds-lint: allow(...) comments (not a
 //                          style rule: a typo'd suppression silently turns
 //                          into no suppression).
