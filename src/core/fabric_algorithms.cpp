@@ -3,6 +3,7 @@
 #include <functional>
 #include <span>
 #include <sstream>
+#include <tuple>
 
 #include "comm/bucket.hpp"
 #include "comm/fabric.hpp"
@@ -15,7 +16,6 @@
 #include "obs/proto.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
-#include "support/thread_annotations.hpp"
 #include "support/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
@@ -94,10 +94,10 @@ class Rank {
 ///
 /// Failure contract: a RankFailure escaping a body — this rank crashed
 /// (kCrashed, already marked failed in the fabric) or a peer vanished
-/// mid-exchange (kPeerGone/kTimeout) — is caught here. The rank records the
-/// first abort reason, rank 0 closes the trace with a probe at the center's
-/// completed progress, and the rank retires so blocked peers cascade out.
-/// Only worker ranks count toward workers_survived.
+/// mid-exchange (kPeerGone/kTimeout) — is caught here. The rank records its
+/// abort reason in its own slot, rank 0 closes the trace with a probe at the
+/// center's completed progress, and the rank retires so blocked peers
+/// cascade out. Only worker ranks count toward workers_survived.
 class FabricRun {
  public:
   /// kSpmd: every rank is a worker, rank 0 also holds the center, and rank
@@ -126,7 +126,8 @@ class FabricRun {
              cluster.update_flops_per_param / cluster.node_flops),
         nets(ranks),
         wire_before_(obs::metrics().snapshot()),
-        ledgers_(ranks) {
+        ledgers_(ranks),
+        failures_(ranks) {
     DS_CHECK(workers > 0, "need at least one worker");
     obs::monitor::hook_run_begin(static_cast<std::int64_t>(ranks));
     if (!spmd) {
@@ -181,11 +182,13 @@ class FabricRun {
         --res.workers_survived;
       }
     }
-    {
-      // Ranks are joined, but the capability still travels with the member.
-      const MutexLock lock(abort_.mutex);
-      res.abort_reason = abort_.reason;
+    // A crash first, then the lowest (round, rank): the reason does not
+    // depend on which rank thread unwound first.
+    const Failure* cause = nullptr;
+    for (const Failure& f : failures_) {
+      if (!f.reason.empty() && (!cause || f.order < cause->order)) cause = &f;
     }
+    if (cause) res.abort_reason = cause->reason;
     res.aborted = !res.abort_reason.empty();
     res.final_params = std::move(center);
     ThreadPool pool(worker_threads(ranks));
@@ -217,15 +220,11 @@ class FabricRun {
     try {
       role.body(rank);
     } catch (const RankFailure& failure) {
-      {
-        const MutexLock lock(abort_.mutex);
-        if (abort_.reason.empty()) {
-          std::ostringstream os;
-          os << "round " << rank.round << " aborted at rank " << id << ": "
-             << failure.what();
-          abort_.reason = os.str();
-        }
-      }
+      std::ostringstream os;
+      os << "round " << rank.round << " aborted at rank " << id << ": "
+         << failure.what();
+      const bool crashed = failure.kind() == RankFailure::Kind::kCrashed;
+      failures_[id] = Failure{{!crashed, rank.round, id}, os.str()};
       if (id == 0 &&
           (probes_.empty() || probes_.back().iteration < completed_)) {
         probes_.push_back(Snapshot{completed_, fabric.clock(0), center});
@@ -237,14 +236,18 @@ class FabricRun {
     fabric.retire(id);
   }
 
+  /// The RankFailure a rank caught, if any, ordered (not a crash, round,
+  /// rank) to pick the run's abort reason.
+  struct Failure {
+    std::tuple<bool, std::size_t, std::size_t> order;
+    std::string reason;  // empty: the rank did not fail
+  };
+
   const obs::MetricsSnapshot wire_before_;
   std::vector<Snapshot> probes_;     // written only by rank 0's thread
   std::size_t completed_ = 0;        // written only by rank 0's thread
   std::vector<CostLedger> ledgers_;  // slot r written only by rank r
-  struct AbortSlot {
-    Mutex mutex;
-    std::string reason DS_GUARDED_BY(mutex);  // first failure wins
-  } abort_;
+  std::vector<Failure> failures_;    // slot r written only by rank r
 };
 
 /// Bucketed-exchange geometry (DESIGN.md §10), a constant of the

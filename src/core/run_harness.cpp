@@ -136,10 +136,10 @@ RunResult ModeledRun::finish() {
   finish_run(res, vtime, completed_);
   if (model_ == Model::kCenter) {
     res.final_params = center;
-  } else if (replicas.net(0).arena().mode() == PackMode::kPacked) {
-    // Per-layer arenas have no packed view; final_params stays empty.
-    const auto params = replicas.net(0).arena().full_params();
-    res.final_params.assign(params.begin(), params.end());
+  } else {
+    const ParamArena& arena = replicas.net(0).arena();
+    res.final_params.resize(arena.total_params());
+    arena.save_params(res.final_params);
   }
   return std::move(res);
 }

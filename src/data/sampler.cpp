@@ -8,15 +8,17 @@ namespace ds {
 
 BatchSampler::BatchSampler(const Dataset& dataset, std::size_t batch_size,
                            std::uint64_t seed)
-    : dataset_(dataset), batch_size_(batch_size), rng_(seed) {
+    : dataset_(dataset),
+      batch_size_(batch_size),
+      rng_(seed),
+      indices_(batch_size) {
   DS_CHECK(batch_size_ > 0, "batch size must be positive");
   DS_CHECK(dataset_.size() > 0, "cannot sample from empty dataset");
 }
 
 void BatchSampler::next(Tensor& images, std::vector<std::int32_t>& labels) {
-  std::vector<std::size_t> indices(batch_size_);
-  for (auto& idx : indices) idx = rng_.below(dataset_.size());
-  gather_batch(dataset_, indices, images, labels);
+  for (auto& idx : indices_) idx = rng_.below(dataset_.size());
+  gather_batch(dataset_, indices_, images, labels);
 }
 
 void gather_images(const Dataset& dataset,

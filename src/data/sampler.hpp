@@ -33,6 +33,7 @@ class BatchSampler {
   const Dataset& dataset_;
   std::size_t batch_size_;
   Rng rng_;
+  std::vector<std::size_t> indices_;  // the batch being drawn, reused
 };
 
 /// Copy the images at `indices` into a batch tensor (grow-only resize).

@@ -4,30 +4,18 @@
 #include "tensor/ops.hpp"
 
 namespace ds {
-namespace {
-
-std::size_t per_sample_elems(const Shape& input) {
-  // Batch dim excluded: flops_per_sample contracts on one sample.
-  std::size_t n = 1;
-  for (std::size_t i = 1; i < input.rank(); ++i) n *= input.dim(i);
-  return n;
-}
-
-}  // namespace
 
 // --------------------------------- ReLU ------------------------------------
 
-void ReLU::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  y.resize(x.shape());
+void ReLU::forward_impl(const Tensor& x, Tensor& y, bool /*train*/) {
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
   for (std::size_t i = 0; i < n; ++i) yo[i] = xi[i] > 0.0f ? xi[i] : 0.0f;
 }
 
-void ReLU::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                    Tensor& dx) {
-  dx.resize(x.shape());
+void ReLU::backward_impl(const Tensor& x, const Tensor& /*y*/,
+                         const Tensor& dy, Tensor& dx) {
   const std::size_t n = x.numel();
   const float* xi = x.data();
   const float* g = dy.data();
@@ -36,22 +24,20 @@ void ReLU::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
 }
 
 double ReLU::flops_per_sample(const Shape& input) const {
-  return 2.0 * static_cast<double>(per_sample_elems(input));
+  return 2.0 * sample_numel(input);
 }
 
 // --------------------------------- Tanh ------------------------------------
 
-void Tanh::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  y.resize(x.shape());
+void Tanh::forward_impl(const Tensor& x, Tensor& y, bool /*train*/) {
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
   for (std::size_t i = 0; i < n; ++i) yo[i] = std::tanh(xi[i]);
 }
 
-void Tanh::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                    Tensor& dx) {
-  dx.resize(x.shape());
+void Tanh::backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                         Tensor& dx) {
   const std::size_t n = x.numel();
   const float* yo = y.data();
   const float* g = dy.data();
@@ -61,22 +47,20 @@ void Tanh::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
 
 double Tanh::flops_per_sample(const Shape& input) const {
   // tanh costed as ~8 flops.
-  return 10.0 * static_cast<double>(per_sample_elems(input));
+  return 10.0 * sample_numel(input);
 }
 
 // -------------------------------- Sigmoid ----------------------------------
 
-void Sigmoid::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  y.resize(x.shape());
+void Sigmoid::forward_impl(const Tensor& x, Tensor& y, bool /*train*/) {
   const std::size_t n = x.numel();
   const float* xi = x.data();
   float* yo = y.data();
   for (std::size_t i = 0; i < n; ++i) yo[i] = 1.0f / (1.0f + std::exp(-xi[i]));
 }
 
-void Sigmoid::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                       Tensor& dx) {
-  dx.resize(x.shape());
+void Sigmoid::backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                            Tensor& dx) {
   const std::size_t n = x.numel();
   const float* yo = y.data();
   const float* g = dy.data();
@@ -85,7 +69,7 @@ void Sigmoid::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
 }
 
 double Sigmoid::flops_per_sample(const Shape& input) const {
-  return 10.0 * static_cast<double>(per_sample_elems(input));
+  return 10.0 * sample_numel(input);
 }
 
 // -------------------------------- Flatten ----------------------------------
@@ -97,15 +81,12 @@ Shape Flatten::output_shape(const Shape& input) const {
   return Shape{input.dim(0), features};
 }
 
-void Flatten::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  const Shape out = output_shape(x.shape());
-  y.resize(out);
+void Flatten::forward_impl(const Tensor& x, Tensor& y, bool /*train*/) {
   copy(x.span(), y.span());
 }
 
-void Flatten::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                       Tensor& dx) {
-  dx.resize(x.shape());
+void Flatten::backward_impl(const Tensor& /*x*/, const Tensor& /*y*/,
+                            const Tensor& dy, Tensor& dx) {
   copy(dy.span(), dx.span());
 }
 
@@ -121,10 +102,8 @@ std::string Dropout::name() const {
   return "dropout p=" + std::to_string(drop_prob_);
 }
 
-void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
-  y.resize(x.shape());
+void Dropout::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const std::size_t n = x.numel();
-  trained_ = train;
   if (!train || drop_prob_ == 0.0) {
     copy(x.span(), y.span());
     return;
@@ -139,12 +118,9 @@ void Dropout::forward(const Tensor& x, Tensor& y, bool train) {
   }
 }
 
-void Dropout::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                       Tensor& dx) {
+void Dropout::backward_impl(const Tensor& x, const Tensor& /*y*/,
+                            const Tensor& dy, Tensor& dx) {
   const std::size_t n = x.numel();
-  DS_CHECK(trained_ && (drop_prob_ == 0.0 || mask_.size() == n),
-           "dropout backward needs a training forward of this input first");
-  dx.resize(x.shape());
   const float* g = dy.data();
   float* out = dx.data();
   if (drop_prob_ == 0.0) {  // p = 0 keeps every unit: identity
@@ -155,7 +131,7 @@ void Dropout::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
 }
 
 double Dropout::flops_per_sample(const Shape& input) const {
-  return 2.0 * static_cast<double>(per_sample_elems(input));
+  return 2.0 * sample_numel(input);
 }
 
 }  // namespace ds

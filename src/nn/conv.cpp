@@ -14,12 +14,6 @@ namespace ds {
 
 namespace {
 
-bool same_geom(const ConvGeom& a, const ConvGeom& b) {
-  return a.channels == b.channels && a.height == b.height &&
-         a.width == b.width && a.kernel == b.kernel && a.stride == b.stride &&
-         a.pad == b.pad;
-}
-
 // Dispatch accounting: always-on metrics, plus (when tracing) a Chrome
 // counter track sampling the cumulative conv flops and lowering traffic so
 // the im2col-vs-direct split shows up on the trace timeline.
@@ -134,8 +128,6 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y) {
   for (std::size_t n = 0; n < batch; ++n) {
     im2col(g, x.data() + n * in_plane, col_ws_.data() + n * cols, bc);
   }
-  col_geom_ = g;
-  col_batch_ = batch;
   col_valid_ = true;
   // … so the layer is one GEMM, [out_c × rows] · [rows × batch·cols],
   // with the per-channel bias fused into the C write-back epilogue.
@@ -212,10 +204,8 @@ void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
                          y.data());
 }
 
-void Conv2D::forward(const Tensor& x, Tensor& y, bool train) {
+void Conv2D::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const ConvGeom g = geom_for(x.shape());
-  const Shape out = output_shape(x.shape());
-  y.resize(out);
   const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
   count_dispatch(algo,
                  gemm_flops(out_c_, x.dim(0) * g.col_cols(), g.col_rows()));
@@ -286,12 +276,11 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
   const std::size_t in_plane = in_c_ * g.height * g.width;
   const std::size_t out_plane = out_c_ * cols;
 
-  // Column matrix of the input: forward already lowered exactly this x
-  // (backward's x is contractually the matching forward's), so reuse the
-  // grow-only scratch instead of re-running im2col — unless a different
-  // shape or a non-lowering forward invalidated it.
-  const bool reuse =
-      col_valid_ && col_batch_ == batch && same_geom(col_geom_, g);
+  // Column matrix of the input: the last forward was a training one of
+  // this x's shape (Layer checks it), so unless that forward ran another
+  // kernel it lowered exactly this x; reuse the grow-only scratch instead of
+  // re-running im2col.
+  const bool reuse = col_valid_;
   for (std::size_t n = 0; n < batch; ++n) {
     if (!reuse) {
       im2col(g, x.data() + n * in_plane, col_ws_.data() + n * cols, bc);
@@ -303,8 +292,6 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
                   cols * sizeof(float));
     }
   }
-  col_geom_ = g;
-  col_batch_ = batch;
   col_valid_ = true;
   // dW += dY_b · col_bᵀ : [out_c × batch·cols] · [batch·cols × rows].
   gemm(Transpose::kNo, Transpose::kYes, out_c_, rows, bc, 1.0f,
@@ -332,14 +319,13 @@ void Conv2D::backward_into(const Tensor& x, const Tensor& dy, Tensor* dx) {
   }
 }
 
-void Conv2D::backward(const Tensor& x, const Tensor& /*y*/, const Tensor& dy,
-                      Tensor& dx) {
-  dx.resize(x.shape());
+void Conv2D::backward_impl(const Tensor& x, const Tensor& /*y*/,
+                           const Tensor& dy, Tensor& dx) {
   backward_into(x, dy, &dx);
 }
 
-void Conv2D::backward_params(const Tensor& x, const Tensor& /*y*/,
-                             const Tensor& dy, Tensor& /*scratch*/) {
+void Conv2D::backward_params_impl(const Tensor& x, const Tensor& /*y*/,
+                                  const Tensor& dy, Tensor& /*scratch*/) {
   backward_into(x, dy, nullptr);
 }
 

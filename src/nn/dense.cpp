@@ -37,9 +37,8 @@ void FullyConnected::init_params(Rng& rng) {
   for (std::size_t i = w; i < params_.size(); ++i) params_[i] = 0.0f;
 }
 
-void FullyConnected::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  const Shape out = output_shape(x.shape());
-  y.resize(out);
+void FullyConnected::forward_impl(const Tensor& x, Tensor& y,
+                                  bool /*train*/) {
   const std::size_t batch = x.dim(0);
   const float* weights = params_.data();  // out × in
   const float* bias = params_.data() + out_ * in_;
@@ -51,8 +50,10 @@ void FullyConnected::forward(const Tensor& x, Tensor& y, bool /*train*/) {
        weights, in_, 0.0f, y.data(), out_, ep);
 }
 
-void FullyConnected::backward_params(const Tensor& x, const Tensor& /*y*/,
-                                     const Tensor& dy, Tensor& /*scratch*/) {
+void FullyConnected::backward_params_impl(const Tensor& x,
+                                          const Tensor& /*y*/,
+                                          const Tensor& dy,
+                                          Tensor& /*scratch*/) {
   const std::size_t batch = x.dim(0);
   float* dweights = grads_.data();
   float* dbias = grads_.data() + out_ * in_;
@@ -65,10 +66,9 @@ void FullyConnected::backward_params(const Tensor& x, const Tensor& /*y*/,
   }
 }
 
-void FullyConnected::backward(const Tensor& x, const Tensor& y,
-                              const Tensor& dy, Tensor& dx) {
-  backward_params(x, y, dy, dx);
-  dx.resize(x.shape());
+void FullyConnected::backward_impl(const Tensor& x, const Tensor& y,
+                                   const Tensor& dy, Tensor& dx) {
+  backward_params_impl(x, y, dy, dx);
   // dX = dY · W : [batch × out] · [out × in]
   gemm(Transpose::kNo, Transpose::kNo, x.dim(0), in_, out_, 1.0f, dy.data(),
        params_.data(), 0.0f, dx.data());

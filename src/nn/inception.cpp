@@ -62,7 +62,7 @@ std::size_t InceptionBlock::param_count() const {
 }
 
 void InceptionBlock::bind(std::span<float> params, std::span<float> grads) {
-  DS_CHECK(params.size() == param_count(), "inception bind size mismatch");
+  Layer::bind(params, grads);
   std::size_t offset = 0;
   for (auto& b : branches_) {
     for (auto& stage : b.stages) {
@@ -71,8 +71,6 @@ void InceptionBlock::bind(std::span<float> params, std::span<float> grads) {
       offset += n;
     }
   }
-  params_ = params;
-  grads_ = grads;
 }
 
 void InceptionBlock::bind_scratch(AlignedBuffer& scratch) {
@@ -88,12 +86,10 @@ void InceptionBlock::init_params(Rng& rng) {
   }
 }
 
-void InceptionBlock::forward(const Tensor& x, Tensor& y, bool train) {
-  const Shape out = output_shape(x.shape());
-  y.resize(out);
+void InceptionBlock::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const std::size_t batch = x.dim(0);
-  const std::size_t hw = out.dim(2) * out.dim(3);
-  const std::size_t out_c = out.dim(1);
+  const std::size_t hw = y.dim(2) * y.dim(3);
+  const std::size_t out_c = y.dim(1);
   std::size_t c_offset = 0;
   for (Branch& b : branches_) {
     // Training keeps every stage's output for backward; inference runs the
@@ -115,9 +111,8 @@ void InceptionBlock::forward(const Tensor& x, Tensor& y, bool train) {
   }
 }
 
-void InceptionBlock::backward(const Tensor& x, const Tensor& /*y*/,
-                              const Tensor& dy, Tensor& dx) {
-  dx.resize(x.shape());
+void InceptionBlock::backward_impl(const Tensor& x, const Tensor& /*y*/,
+                                   const Tensor& dy, Tensor& dx) {
   dx.zero();
   const std::size_t batch = x.dim(0);
   const std::size_t hw = dy.dim(2) * dy.dim(3);
@@ -128,7 +123,6 @@ void InceptionBlock::backward(const Tensor& x, const Tensor& /*y*/,
   Tensor stage_dx;
   Tensor next_grad;
   for (auto& b : branches_) {
-    DS_CHECK(!b.acts.empty(), "inception backward before forward");
     const std::size_t bc = b.acts.back().dim(1);
     // Slice dy channels belonging to this branch.
     branch_dy.resize(b.acts.back().shape());

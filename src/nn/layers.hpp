@@ -22,30 +22,36 @@ class ReLU final : public Layer {
  public:
   std::string name() const override { return "relu"; }
   Shape output_shape(const Shape& input) const override { return input; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
+
+ private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
 };
 
 class Tanh final : public Layer {
  public:
   std::string name() const override { return "tanh"; }
   Shape output_shape(const Shape& input) const override { return input; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
+
+ private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
 };
 
 class Sigmoid final : public Layer {
  public:
   std::string name() const override { return "sigmoid"; }
   Shape output_shape(const Shape& input) const override { return input; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
+
+ private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
 };
 
 // ---------------------------------------------------------------------------
@@ -57,10 +63,12 @@ class Flatten final : public Layer {
  public:
   std::string name() const override { return "flatten"; }
   Shape output_shape(const Shape& input) const override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override { (void)input; return 0.0; }
+
+ private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
 };
 
 /// Inverted dropout: train-time masks scale by 1/(1-p); eval is identity.
@@ -69,16 +77,16 @@ class Dropout final : public Layer {
   explicit Dropout(double drop_prob, std::uint64_t seed = 0x0D120u);
   std::string name() const override;
   Shape output_shape(const Shape& input) const override { return input; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   double drop_prob_;
   Rng rng_;
   std::vector<float> mask_;
-  bool trained_ = false;  // the last forward was a training one
 };
 
 // ---------------------------------------------------------------------------
@@ -102,11 +110,6 @@ class Conv2D final : public Layer {
   std::size_t param_count() const override;
   void init_params(Rng& rng) override;
   void bind_scratch(AlignedBuffer& scratch) override { scratch_ = &scratch; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
-  void backward_params(const Tensor& x, const Tensor& y, const Tensor& dy,
-                       Tensor& scratch) override;
   double flops_per_sample(const Shape& input) const override;
 
   std::size_t in_channels() const { return in_c_; }
@@ -119,6 +122,12 @@ class Conv2D final : public Layer {
   ConvAlgo resolved_algo(const Shape& input) const;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+  void backward_params_impl(const Tensor& x, const Tensor& y,
+                            const Tensor& dy, Tensor& scratch) override;
+
   ConvGeom geom_for(const Shape& input) const;
   AlignedBuffer& scratch() { return scratch_ ? *scratch_ : own_scratch_; }
 
@@ -146,12 +155,9 @@ class Conv2D final : public Layer {
   AlignedBuffer col_ws_;   // batched im2col columns
   AlignedBuffer out_ws_;   // batched GEMM output / re-batched dY
   AlignedBuffer dcol_ws_;  // backward column gradient
-  // col_ws_ holds the lowering of the forward input with this geometry —
-  // lets backward skip re-running im2col (its x is contractually the
-  // matching forward's x). Invalidated whenever a forward runs a
-  // non-lowering kernel or a different shape.
-  ConvGeom col_geom_{};
-  std::size_t col_batch_ = 0;
+  // col_ws_ holds the lowering of the last forward's input — lets backward
+  // skip re-running im2col (its x is that forward's x). Cleared whenever a
+  // forward runs a non-lowering kernel.
   bool col_valid_ = false;
   // Arena-owned kernel scratch for the blocked/rotated-weight buffers
   // (falls back to a private buffer when the layer is used outside a
@@ -167,17 +173,17 @@ class MaxPool2D final : public Layer {
   MaxPool2D(std::size_t kernel, std::size_t stride, std::size_t pad = 0);
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t pad_;
   std::vector<std::uint32_t> argmax_;  // in-plane input index per output
-  Shape in_cache_, out_cache_;  // memoized output_shape of the last input
 };
 
 /// Average pooling over k×k windows.
@@ -186,15 +192,15 @@ class AvgPool2D final : public Layer {
   AvgPool2D(std::size_t kernel, std::size_t stride);
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   std::size_t kernel_;
   std::size_t stride_;
-  Shape in_cache_, out_cache_;  // memoized output_shape of the last input
 };
 
 /// AlexNet-style local response normalisation across channels:
@@ -205,13 +211,14 @@ class LocalResponseNorm final : public Layer {
   explicit LocalResponseNorm(std::size_t size = 5, double alpha = 1e-4,
                              double beta = 0.75, double k = 2.0);
   std::string name() const override;
-  Shape output_shape(const Shape& input) const override { return input; }
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
+  Shape output_shape(const Shape& input) const override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   // One slot of the powf memo: `value` is always powf(bit_cast(key), −β).
   struct PowSlot {
     std::uint32_t key;
@@ -226,7 +233,6 @@ class LocalResponseNorm final : public Layer {
   std::vector<float> scale_;  // s^{−β} per element, from a training forward
   std::vector<float> work_;   // backward scratch: one sample's s, then dy·y/s
   std::vector<PowSlot> memo_;  // direct-mapped on the low bits of s
-  bool trained_ = false;       // the last forward was a training one
 };
 
 /// Dense layer: y = x·Wᵀ + b. Parameters are [out × in] weights then [out]
@@ -238,14 +244,15 @@ class FullyConnected final : public Layer {
   Shape output_shape(const Shape& input) const override;
   std::size_t param_count() const override;
   void init_params(Rng& rng) override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
-  void backward_params(const Tensor& x, const Tensor& y, const Tensor& dy,
-                       Tensor& scratch) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+  void backward_params_impl(const Tensor& x, const Tensor& y,
+                            const Tensor& dy, Tensor& scratch) override;
+
   std::size_t in_;
   std::size_t out_;
 };
@@ -266,12 +273,13 @@ class ResidualBlock final : public Layer {
   void bind(std::span<float> params, std::span<float> grads) override;
   void bind_scratch(AlignedBuffer& scratch) override;
   void init_params(Rng& rng) override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   std::size_t in_c_;
   std::size_t out_c_;
   std::size_t stride_;
@@ -302,14 +310,15 @@ class InceptionBlock final : public Layer {
   void bind(std::span<float> params, std::span<float> grads) override;
   void bind_scratch(AlignedBuffer& scratch) override;
   void init_params(Rng& rng) override;
-  void forward(const Tensor& x, Tensor& y, bool train) override;
-  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                Tensor& dx) override;
   double flops_per_sample(const Shape& input) const override;
 
   std::size_t out_channels() const;
 
  private:
+  void forward_impl(const Tensor& x, Tensor& y, bool train) override;
+  void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
+                     Tensor& dx) override;
+
   struct Branch {
     std::vector<LayerPtr> stages;
     std::vector<Tensor> acts;  // forward activations per stage

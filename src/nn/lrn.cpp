@@ -67,14 +67,16 @@ std::string LocalResponseNorm::name() const {
   return os.str();
 }
 
-void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool train) {
-  DS_CHECK(x.rank() == 4, "lrn input must be NCHW");
-  y.resize(x.shape());
+Shape LocalResponseNorm::output_shape(const Shape& input) const {
+  DS_CHECK(input.rank() == 4, "lrn input must be NCHW");
+  return input;
+}
+
+void LocalResponseNorm::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const std::size_t batch = x.dim(0), channels = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
   // Backward reads s^{−β} per element; inference forms each row's in its
   // output row instead.
-  trained_ = train;
   if (train) scale_.resize(x.numel());
   const long half = static_cast<long>(size_ / 2);
   const float coeff = static_cast<float>(alpha_ / static_cast<double>(size_));
@@ -105,15 +107,8 @@ void LocalResponseNorm::forward(const Tensor& x, Tensor& y, bool train) {
   }
 }
 
-void LocalResponseNorm::backward(const Tensor& x, const Tensor& y,
-                                 const Tensor& dy, Tensor& dx) {
-  DS_CHECK(trained_ && x.rank() == 4 && scale_.size() == x.numel(),
-           "lrn backward needs a training forward of this input first");
-  DS_CHECK(y.shape() == x.shape() && dy.shape() == x.shape(),
-           "lrn backward: y " << y.shape().str() << " and dy "
-                              << dy.shape().str() << " must match x "
-                              << x.shape().str());
-  dx.resize(x.shape());
+void LocalResponseNorm::backward_impl(const Tensor& x, const Tensor& y,
+                                      const Tensor& dy, Tensor& dx) {
   const std::size_t batch = x.dim(0), channels = x.dim(1);
   const std::size_t hw = x.dim(2) * x.dim(3);
   const long half = static_cast<long>(size_ / 2);
@@ -152,12 +147,8 @@ void LocalResponseNorm::backward(const Tensor& x, const Tensor& y,
 }
 
 double LocalResponseNorm::flops_per_sample(const Shape& input) const {
-  double elems = 1.0;
-  for (std::size_t i = 1; i < input.rank(); ++i) {
-    elems *= static_cast<double>(input.dim(i));
-  }
   // window sum-of-squares + pow, forward and backward.
-  return elems * (2.0 * static_cast<double>(size_) + 20.0) * 2.0;
+  return sample_numel(input) * (2.0 * static_cast<double>(size_) + 20.0) * 2.0;
 }
 
 }  // namespace ds

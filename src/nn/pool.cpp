@@ -9,12 +9,12 @@ namespace ds {
 namespace {
 
 Shape pooled_shape(const Shape& input, std::size_t kernel, std::size_t stride,
-                   const char* what) {
+                   std::size_t pad, const char* what) {
   DS_CHECK(input.rank() == 4, what << " input must be NCHW");
-  DS_CHECK(input.dim(2) >= kernel && input.dim(3) >= kernel,
+  DS_CHECK(input.dim(2) + 2 * pad >= kernel && input.dim(3) + 2 * pad >= kernel,
            what << ": window " << kernel << " larger than " << input.str());
-  const std::size_t ho = (input.dim(2) - kernel) / stride + 1;
-  const std::size_t wo = (input.dim(3) - kernel) / stride + 1;
+  const std::size_t ho = (input.dim(2) + 2 * pad - kernel) / stride + 1;
+  const std::size_t wo = (input.dim(3) + 2 * pad - kernel) / stride + 1;
   return Shape{input.dim(0), input.dim(1), ho, wo};
 }
 
@@ -154,51 +154,31 @@ std::string MaxPool2D::name() const {
 }
 
 Shape MaxPool2D::output_shape(const Shape& input) const {
-  DS_CHECK(input.rank() == 4, "maxpool input must be NCHW");
-  DS_CHECK(input.dim(2) + 2 * pad_ >= kernel_ &&
-               input.dim(3) + 2 * pad_ >= kernel_,
-           "maxpool: window " << kernel_ << " larger than " << input.str());
-  const std::size_t ho = (input.dim(2) + 2 * pad_ - kernel_) / stride_ + 1;
-  const std::size_t wo = (input.dim(3) + 2 * pad_ - kernel_) / stride_ + 1;
-  return Shape{input.dim(0), input.dim(1), ho, wo};
+  const Shape out = pooled_shape(input, kernel_, stride_, pad_, "maxpool");
+  // The argmax stores in-plane input indices as uint32.
+  DS_CHECK(input.dim(2) * input.dim(3) <= UINT32_MAX,
+           "maxpool plane " << input.str() << " too large");
+  return out;
 }
 
-void MaxPool2D::forward(const Tensor& x, Tensor& y, bool train) {
-  // Shape construction heap-allocates; memoize so the steady-state hot loop
-  // (fixed or alternating train/eval batch shapes) does no allocation.
-  if (x.shape() != in_cache_) {
-    in_cache_ = x.shape();
-    out_cache_ = output_shape(in_cache_);
-    DS_CHECK(x.dim(2) * x.dim(3) <= UINT32_MAX,
-             "maxpool plane " << in_cache_.str() << " too large");
-  }
-  const Shape& out = out_cache_;
-  y.resize(out);
+void MaxPool2D::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const std::size_t planes = x.dim(0) * x.dim(1);
   const PoolGeom g{static_cast<long>(x.dim(2)), static_cast<long>(x.dim(3)),
                    static_cast<long>(kernel_), static_cast<long>(stride_),
                    static_cast<long>(pad_)};
-  const long ho = static_cast<long>(out.dim(2));
-  const long wo = static_cast<long>(out.dim(3));
+  const long ho = static_cast<long>(y.dim(2));
+  const long wo = static_cast<long>(y.dim(3));
   if (train) {
-    argmax_.resize(out.numel());  // grow-only capacity, no realloc once warm
+    argmax_.resize(y.numel());  // grow-only capacity, no realloc once warm
     max_pool_planes<true>(g, planes, ho, wo, x.data(), y.data(),
                           argmax_.data());
   } else {
-    argmax_.clear();  // backward needs a training forward first
     max_pool_planes<false>(g, planes, ho, wo, x.data(), y.data(), nullptr);
   }
 }
 
-void MaxPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                         Tensor& dx) {
-  DS_CHECK(argmax_.size() == y.numel() && x.shape() == in_cache_,
-           "maxpool backward before forward");
-  DS_CHECK(y.shape() == out_cache_ && dy.shape() == out_cache_,
-           "maxpool backward: y " << y.shape().str() << " and dy "
-                                  << dy.shape().str() << " must be "
-                                  << out_cache_.str());
-  dx.resize(x.shape());
+void MaxPool2D::backward_impl(const Tensor& x, const Tensor& y,
+                              const Tensor& dy, Tensor& dx) {
   dx.zero();
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t plane_in = x.dim(2) * x.dim(3);
@@ -212,13 +192,8 @@ void MaxPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
 }
 
 double MaxPool2D::flops_per_sample(const Shape& input) const {
-  const Shape out = output_shape(input);
-  const double window = static_cast<double>(kernel_ * kernel_);
-  double per_sample = 1.0;
-  for (std::size_t i = 1; i < out.rank(); ++i) {
-    per_sample *= static_cast<double>(out.dim(i));
-  }
-  return per_sample * window;
+  return sample_numel(output_shape(input)) *
+         static_cast<double>(kernel_ * kernel_);
 }
 
 // -------------------------------- AvgPool ----------------------------------
@@ -235,19 +210,13 @@ std::string AvgPool2D::name() const {
 }
 
 Shape AvgPool2D::output_shape(const Shape& input) const {
-  return pooled_shape(input, kernel_, stride_, "avgpool");
+  return pooled_shape(input, kernel_, stride_, 0, "avgpool");
 }
 
-void AvgPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
-  if (x.shape() != in_cache_) {
-    in_cache_ = x.shape();
-    out_cache_ = output_shape(in_cache_);
-  }
-  const Shape& out = out_cache_;
-  y.resize(out);
+void AvgPool2D::forward_impl(const Tensor& x, Tensor& y, bool /*train*/) {
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t h = x.dim(2), w = x.dim(3);
-  const std::size_t ho = out.dim(2), wo = out.dim(3);
+  const std::size_t ho = y.dim(2), wo = y.dim(3);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   for (std::size_t p = 0; p < planes; ++p) {
     const float* xp = x.data() + p * h * w;
@@ -265,17 +234,8 @@ void AvgPool2D::forward(const Tensor& x, Tensor& y, bool /*train*/) {
   }
 }
 
-void AvgPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
-                         Tensor& dx) {
-  if (x.shape() != in_cache_) {
-    in_cache_ = x.shape();
-    out_cache_ = output_shape(in_cache_);
-  }
-  DS_CHECK(y.shape() == out_cache_ && dy.shape() == out_cache_,
-           "avgpool backward: y " << y.shape().str() << " and dy "
-                                  << dy.shape().str() << " must be "
-                                  << out_cache_.str());
-  dx.resize(x.shape());
+void AvgPool2D::backward_impl(const Tensor& x, const Tensor& y,
+                              const Tensor& dy, Tensor& dx) {
   dx.zero();
   const std::size_t planes = x.dim(0) * x.dim(1);
   const std::size_t h = x.dim(2), w = x.dim(3);
@@ -297,13 +257,8 @@ void AvgPool2D::backward(const Tensor& x, const Tensor& y, const Tensor& dy,
 }
 
 double AvgPool2D::flops_per_sample(const Shape& input) const {
-  const Shape out = output_shape(input);
-  const double window = static_cast<double>(kernel_ * kernel_);
-  double per_sample = 1.0;
-  for (std::size_t i = 1; i < out.rank(); ++i) {
-    per_sample *= static_cast<double>(out.dim(i));
-  }
-  return per_sample * window;
+  return sample_numel(output_shape(input)) *
+         static_cast<double>(kernel_ * kernel_);
 }
 
 }  // namespace ds

@@ -35,7 +35,7 @@ std::size_t ResidualBlock::param_count() const {
 }
 
 void ResidualBlock::bind(std::span<float> params, std::span<float> grads) {
-  DS_CHECK(params.size() == param_count(), "residual bind size mismatch");
+  Layer::bind(params, grads);
   std::size_t offset = 0;
   const auto slice = [&](Layer& layer) {
     const std::size_t n = layer.param_count();
@@ -45,8 +45,6 @@ void ResidualBlock::bind(std::span<float> params, std::span<float> grads) {
   slice(conv1_);
   slice(conv2_);
   if (projection_) slice(*projection_);
-  params_ = params;
-  grads_ = grads;
 }
 
 void ResidualBlock::bind_scratch(AlignedBuffer& scratch) {
@@ -63,7 +61,7 @@ void ResidualBlock::init_params(Rng& rng) {
   if (projection_) projection_->init_params(rng);
 }
 
-void ResidualBlock::forward(const Tensor& x, Tensor& y, bool train) {
+void ResidualBlock::forward_impl(const Tensor& x, Tensor& y, bool train) {
   // Branch: conv1 → ReLU → conv2.
   conv1_.forward(x, act1_, train);
   relu1_.forward(act1_, act2_, train);
@@ -78,16 +76,14 @@ void ResidualBlock::forward(const Tensor& x, Tensor& y, bool train) {
   // y = ReLU(branch + shortcut); keep the pre-activation for backward.
   pre_relu_.resize(act3_.shape());
   add(act3_.span(), shortcut_.span(), pre_relu_.span());
-  y.resize(pre_relu_.shape());
   const std::size_t n = pre_relu_.numel();
   for (std::size_t i = 0; i < n; ++i) {
     y[i] = pre_relu_[i] > 0.0f ? pre_relu_[i] : 0.0f;
   }
 }
 
-void ResidualBlock::backward(const Tensor& x, const Tensor& /*y*/,
-                             const Tensor& dy, Tensor& dx) {
-  DS_CHECK(pre_relu_.numel() == dy.numel(), "residual backward before forward");
+void ResidualBlock::backward_impl(const Tensor& x, const Tensor& /*y*/,
+                                  const Tensor& dy, Tensor& dx) {
   // Through the output ReLU.
   d_pre_.resize(dy.shape());
   const std::size_t n = dy.numel();
@@ -99,7 +95,6 @@ void ResidualBlock::backward(const Tensor& x, const Tensor& /*y*/,
   relu1_.backward(act1_, act2_, d_act2_, d_act1_);
   conv1_.backward(x, act1_, d_act1_, d_branch_);
   // Shortcut path.
-  dx.resize(x.shape());
   if (projection_) {
     projection_->backward(x, shortcut_, d_pre_, d_short_);
     add(d_branch_.span(), d_short_.span(), dx.span());
@@ -115,11 +110,7 @@ double ResidualBlock::flops_per_sample(const Shape& input) const {
   total += conv2_.flops_per_sample(mid);
   if (projection_) total += projection_->flops_per_sample(input);
   // Elementwise add + final ReLU.
-  double elems = 1.0;
-  for (std::size_t i = 1; i < mid.rank(); ++i) {
-    elems *= static_cast<double>(mid.dim(i));
-  }
-  return total + 3.0 * elems;
+  return total + 3.0 * sample_numel(mid);
 }
 
 }  // namespace ds

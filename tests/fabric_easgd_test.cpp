@@ -156,6 +156,22 @@ TEST(FabricEasgd, SingleRankDegeneratesToLocalTraining) {
   EXPECT_GT(r.final_accuracy, 0.6);
 }
 
+TEST(FabricEasgd, CrashAbortReasonNamesTheCrashedRankEveryRun) {
+  // Rank 2 crashes during its local work; its peers then see it gone. The
+  // abort reason must name the crash on every same-seed run, whichever
+  // rank's thread unwinds first.
+  Fixture f;
+  FabricClusterConfig cluster;
+  cluster.faults.with_crash(2, 1e-4);
+  for (int run = 0; run < 20; ++run) {
+    const RunResult r = run_fabric_easgd(f.ctx, cluster);
+    ASSERT_TRUE(r.aborted) << "run " << run;
+    EXPECT_EQ(r.abort_reason,
+              "round 1 aborted at rank 2: rank 2: crashed during local work")
+        << "run " << run;
+  }
+}
+
 // ---------------------------- Probes on the ranks ----------------------------
 
 using FabricRunner = std::function<RunResult(const AlgoContext&)>;

@@ -30,7 +30,7 @@ struct Reference {
     FullyConnected fc(in, out);
     grads.assign(fc.param_count(), 0.0f);
     fc.bind(weights, grads);
-    fc.forward(x, y, false);
+    fc.forward(x, y, true);
     fc.backward(x, y, dy, dx);
   }
 };

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "nn/layers.hpp"
 #include "test_util.hpp"
@@ -15,6 +18,174 @@ using ::ds::testing::fill_random;
 using ::ds::testing::grad_check_layer;
 
 constexpr double kTol = 5e-2;  // relative tolerance for fp32 central diffs
+
+// ------------------------ Forward/backward contract -------------------------
+//
+// Layer::forward/backward/backward_params hold the contract for every layer
+// class: backward needs the last forward to be a training one, with x, y and
+// dy of that forward's shapes, and it may run any number of times. One row
+// per layer class (and per kernel or shortcut variant).
+
+struct ContractCase {
+  std::string name;
+  std::function<LayerPtr()> make;
+  Shape input;
+};
+
+std::ostream& operator<<(std::ostream& os, const ContractCase& c) {
+  return os << c.name;
+}
+
+// `s` with its batch dimension replaced.
+Shape with_batch(const Shape& s, std::size_t batch) {
+  std::vector<std::size_t> dims = s.dims();
+  dims[0] = batch;
+  return Shape(dims);
+}
+
+class LayerContract : public ::testing::TestWithParam<ContractCase> {
+ protected:
+  void SetUp() override {
+    layer = GetParam().make();
+    params.resize(layer->param_count());
+    grads.assign(layer->param_count(), 0.0f);
+    layer->bind(params, grads);
+    Rng rng(17);
+    layer->init_params(rng);
+    x = Tensor(GetParam().input);
+    fill_random(x, rng);
+    y = Tensor(layer->output_shape(x.shape()));
+    dy = Tensor(y.shape());
+    fill_random(dy, rng);
+  }
+
+  // Both backward entry points must refuse these arguments.
+  void expect_backward_throws(const Tensor& bx, const Tensor& by,
+                              const Tensor& bdy) {
+    Tensor dx, scratch;
+    EXPECT_THROW(layer->backward(bx, by, bdy, dx), Error);
+    EXPECT_THROW(layer->backward_params(bx, by, bdy, scratch), Error);
+  }
+
+  LayerPtr layer;
+  std::vector<float> params, grads;
+  Tensor x, y, dy;
+};
+
+TEST_P(LayerContract, TrainingForwardThenBackwardSucceeds) {
+  layer->forward(x, y, /*train=*/true);
+  Tensor dx;
+  ASSERT_NO_THROW(layer->backward(x, y, dy, dx));
+  EXPECT_EQ(dx.shape(), x.shape());
+}
+
+TEST_P(LayerContract, BackwardWithoutTrainingForwardThrows) {
+  expect_backward_throws(x, y, dy);  // no forward at all
+  layer->forward(x, y, /*train=*/false);
+  expect_backward_throws(x, y, dy);  // only an inference forward
+  layer->forward(x, y, /*train=*/true);
+  layer->forward(x, y, /*train=*/false);
+  // The training forward's state is still there and every shape matches,
+  // but the last forward kept none of it.
+  expect_backward_throws(x, y, dy);
+}
+
+TEST_P(LayerContract, MismatchedShapesThrow) {
+  layer->forward(x, y, /*train=*/true);
+  const std::size_t batch = x.dim(0);
+  const Tensor short_dy(with_batch(y.shape(), batch - 1));
+  const Tensor flat_dy(Shape{y.numel()});  // same size, other shape
+  const Tensor short_y(with_batch(y.shape(), batch - 1));
+  const Tensor short_x(with_batch(x.shape(), batch - 1));
+  const Tensor long_x(with_batch(x.shape(), batch + 1));
+  expect_backward_throws(x, y, short_dy);
+  expect_backward_throws(x, y, flat_dy);
+  expect_backward_throws(x, short_y, dy);
+  expect_backward_throws(short_x, y, dy);
+  expect_backward_throws(long_x, y, dy);
+  // The refused calls left the training state intact.
+  Tensor dx;
+  EXPECT_NO_THROW(layer->backward(x, y, dy, dx));
+}
+
+TEST_P(LayerContract, RepeatedBackwardsAgreeBitwise) {
+  layer->forward(x, y, /*train=*/true);
+  const auto run = [&](bool params_only, Tensor& dx) {
+    std::fill(grads.begin(), grads.end(), 0.0f);
+    if (params_only) {
+      layer->backward_params(x, y, dy, dx);
+    } else {
+      layer->backward(x, y, dy, dx);
+    }
+    return grads;
+  };
+  Tensor dx1, dx2, scratch;
+  const std::vector<float> g1 = run(false, dx1);
+  const std::vector<float> g2 = run(false, dx2);
+  const std::vector<float> g3 = run(true, scratch);
+  ASSERT_EQ(dx1.shape(), dx2.shape());
+  EXPECT_EQ(0, std::memcmp(dx1.data(), dx2.data(),
+                           dx1.numel() * sizeof(float)));
+  EXPECT_EQ(g1, g2);
+  EXPECT_EQ(g1, g3) << "backward_params must accumulate backward's bits";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLayer, LayerContract,
+    ::testing::Values(
+        ContractCase{"relu", [] { return std::make_unique<ReLU>(); },
+                     Shape{2, 3, 4, 4}},
+        ContractCase{"tanh", [] { return std::make_unique<Tanh>(); },
+                     Shape{2, 10}},
+        ContractCase{"sigmoid", [] { return std::make_unique<Sigmoid>(); },
+                     Shape{3, 7}},
+        ContractCase{"flatten", [] { return std::make_unique<Flatten>(); },
+                     Shape{2, 3, 4, 4}},
+        ContractCase{"dropout_p0",
+                     [] { return std::make_unique<Dropout>(0.0); },
+                     Shape{2, 8}},
+        ContractCase{"dropout_p05",
+                     [] { return std::make_unique<Dropout>(0.5, 9); },
+                     Shape{2, 8}},
+        ContractCase{"conv_im2col",
+                     [] {
+                       return std::make_unique<Conv2D>(3, 4, 3, 1, 1,
+                                                       ConvAlgo::kIm2col);
+                     },
+                     Shape{2, 3, 6, 6}},
+        ContractCase{"conv_direct",
+                     [] {
+                       return std::make_unique<Conv2D>(3, 4, 3, 1, 1,
+                                                       ConvAlgo::kDirect);
+                     },
+                     Shape{2, 3, 6, 6}},
+        ContractCase{"maxpool",
+                     [] { return std::make_unique<MaxPool2D>(2, 2); },
+                     Shape{2, 3, 4, 4}},
+        ContractCase{"avgpool",
+                     [] { return std::make_unique<AvgPool2D>(2, 2); },
+                     Shape{2, 3, 4, 4}},
+        ContractCase{"lrn",
+                     [] { return std::make_unique<LocalResponseNorm>(); },
+                     Shape{2, 6, 3, 3}},
+        ContractCase{"fc",
+                     [] { return std::make_unique<FullyConnected>(7, 5); },
+                     Shape{3, 7}},
+        ContractCase{"residual_identity",
+                     [] { return std::make_unique<ResidualBlock>(4, 4, 1); },
+                     Shape{2, 4, 6, 6}},
+        ContractCase{"residual_projection",
+                     [] { return std::make_unique<ResidualBlock>(3, 4, 2); },
+                     Shape{2, 3, 6, 6}},
+        ContractCase{"inception",
+                     [] {
+                       return std::make_unique<InceptionBlock>(4, 2, 2, 3, 2,
+                                                               3, 2);
+                     },
+                     Shape{2, 4, 5, 5}}),
+    [](const ::testing::TestParamInfo<ContractCase>& info) {
+      return info.param.name;
+    });
 
 // ----------------------------- Activations ----------------------------------
 
@@ -82,7 +253,7 @@ TEST(FlattenLayer, RoundTripsData) {
   Tensor x({2, 2, 3, 3});
   fill_random(x, rng);
   Tensor y, dx;
-  f.forward(x, y, false);
+  f.forward(x, y, true);
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(y[i], x[i]);
   f.backward(x, y, y, dx);
   for (std::size_t i = 0; i < x.numel(); ++i) EXPECT_EQ(dx[i], x[i]);
@@ -134,33 +305,6 @@ TEST(DropoutLayer, BackwardUsesSameMask) {
 TEST(DropoutLayer, RejectsInvalidProbability) {
   EXPECT_THROW(Dropout(-0.1), Error);
   EXPECT_THROW(Dropout(1.0), Error);
-}
-
-TEST(DropoutLayer, BackwardAfterEvalForwardThrows) {
-  // Backward needs the mask of a training forward; a layer that only ran
-  // in evaluation mode has none.
-  Dropout d(0.5, 9);
-  Tensor x({1, 16});
-  x.fill(1.0f);
-  Tensor y, dx;
-  d.forward(x, y, /*train=*/false);
-  Tensor dy({1, 16});
-  dy.fill(3.0f);
-  EXPECT_THROW(d.backward(x, y, dy, dx), Error);
-}
-
-TEST(DropoutLayer, BackwardAfterTrainThenEvalForwardThrows) {
-  // The training mask is still there and the element count matches, but
-  // the last forward ran in evaluation mode: its mask is stale.
-  Dropout d(0.5, 9);
-  Tensor x({2, 8});
-  x.fill(1.0f);
-  Tensor y, dx;
-  d.forward(x, y, /*train=*/true);
-  d.forward(x, y, /*train=*/false);
-  Tensor dy({2, 8});
-  dy.fill(3.0f);
-  EXPECT_THROW(d.backward(x, y, dy, dx), Error);
 }
 
 TEST(DropoutLayer, ZeroProbabilityTrainingBackwardIsIdentity) {
@@ -327,17 +471,6 @@ TEST(MaxPoolLayer, DegenerateWindowsRouteInsideWindow) {
   }
 }
 
-TEST(MaxPoolLayer, BackwardRejectsMismatchedGradient) {
-  MaxPool2D pool(2, 2);
-  Tensor x({2, 3, 4, 4}), y, dx;
-  pool.forward(x, y, true);
-  Tensor short_dy({2, 3, 1, 2});
-  EXPECT_THROW(pool.backward(x, y, short_dy, dx), Error);
-  Tensor other_x({2, 3, 6, 6});
-  Tensor dy(y.shape());
-  EXPECT_THROW(pool.backward(other_x, y, dy, dx), Error);
-}
-
 TEST(AvgPoolLayer, AveragesWindow) {
   AvgPool2D pool(2, 2);
   Tensor x({1, 1, 2, 2});
@@ -357,17 +490,6 @@ TEST(AvgPoolLayer, GlobalPoolGradCheck) {
   AvgPool2D pool(4, 4);
   const auto r = grad_check_layer(pool, Shape{1, 2, 4, 4});
   EXPECT_LT(r.max_rel_error, kTol);
-}
-
-TEST(AvgPoolLayer, BackwardRejectsMismatchedGradient) {
-  AvgPool2D pool(2, 2);
-  Tensor x({2, 3, 4, 4}), y, dx;
-  pool.forward(x, y, true);
-  Tensor short_dy({2, 3, 1, 2});
-  EXPECT_THROW(pool.backward(x, y, short_dy, dx), Error);
-  Tensor dy(y.shape());
-  Tensor wrong_y({2, 3, 1, 1});
-  EXPECT_THROW(pool.backward(x, wrong_y, dy, dx), Error);
 }
 
 // ------------------------------- Dense --------------------------------------
@@ -427,6 +549,7 @@ TEST(FullyConnectedLayer, BackwardParamsMatchesBackward) {
   fill_random(dy, rng);
   Tensor y, dx, scratch;
   full.forward(x, y, true);
+  params_only.forward(x, y, true);
   for (int pass = 0; pass < 2; ++pass) {  // gradients accumulate
     full.backward(x, y, dy, dx);
     params_only.backward_params(x, y, dy, scratch);
@@ -549,30 +672,6 @@ TEST(LrnLayer, GradCheckWideWindow) {
 
 TEST(LrnLayer, RejectsEvenWindow) {
   EXPECT_THROW(LocalResponseNorm(4), Error);
-}
-
-TEST(LrnLayer, BackwardRejectsMismatchedGradient) {
-  LocalResponseNorm lrn;
-  Tensor x({2, 6, 3, 3}), y, dx;
-  lrn.forward(x, y, true);
-  Tensor short_dy({2, 6, 3, 2});
-  EXPECT_THROW(lrn.backward(x, y, short_dy, dx), Error);
-  Tensor dy(x.shape());
-  Tensor short_y({1, 6, 3, 3});
-  EXPECT_THROW(lrn.backward(x, short_y, dy, dx), Error);
-}
-
-TEST(LrnLayer, BackwardAfterTrainThenInferenceForwardThrows) {
-  // An inference forward keeps no per-element scale, so the one left by the
-  // training forward before it must not reach a backward.
-  LocalResponseNorm lrn;
-  Rng rng(8);
-  Tensor x({2, 6, 3, 3}), y, dx;
-  fill_random(x, rng);
-  lrn.forward(x, y, true);
-  lrn.forward(x, y, false);
-  Tensor dy(x.shape());
-  EXPECT_THROW(lrn.backward(x, y, dy, dx), Error);
 }
 
 // ----------------------- Bitwise reference battery -------------------------
