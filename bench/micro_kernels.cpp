@@ -233,9 +233,9 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
   for (std::size_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(rng.uniform(-1, 1));
   }
-  const auto make_conv = [&](ds::ConvAlgo a, std::vector<float>& params,
+  const auto make_conv = [&](std::vector<float>& params,
                              std::vector<float>& grads) {
-    auto conv = std::make_unique<ds::Conv2D>(in_c, out_c, 3, 1, 1, a);
+    auto conv = std::make_unique<ds::Conv2D>(in_c, out_c, 3, 1, 1);
     params.resize(conv->param_count());
     grads.resize(conv->param_count());
     conv->bind(params, grads);
@@ -244,7 +244,9 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
     return conv;
   };
   std::vector<float> params, grads;
-  auto conv = make_conv(algo, params, grads);
+  auto conv = make_conv(params, grads);
+  // The thread knob pins the kernel; kAuto hands it back to the heuristic.
+  ds::kernel_config().conv_algo = algo;
   ds::Tensor y;
   for (auto _ : state) {
     conv->forward(x, y, /*train=*/true);
@@ -258,7 +260,8 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
   // from first-touch page faults on the freshly allocated workspaces.
   const auto time_forward = [&](ds::ConvAlgo a) {
     std::vector<float> p, g;
-    auto c = make_conv(a, p, g);
+    auto c = make_conv(p, g);
+    ds::kernel_config().conv_algo = a;
     ds::Tensor out;
     for (int warm = 0; warm < 3; ++warm) c->forward(x, out, /*train=*/true);
     double best = 0.0;
@@ -276,6 +279,7 @@ void conv3x3_algo_bench(benchmark::State& state, ds::ConvAlgo algo) {
   };
   state.counters["speedup_vs_im2col"] =
       time_forward(ds::ConvAlgo::kIm2col) / time_forward(algo);
+  ds::kernel_config().conv_algo = ds::ConvAlgo::kAuto;
 }
 BENCHMARK_CAPTURE(conv3x3_algo_bench, im2col, ds::ConvAlgo::kIm2col)
     ->Arg(32)->Arg(64);

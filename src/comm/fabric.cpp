@@ -151,55 +151,37 @@ std::size_t Fabric::alive_ranks() const {
 
 void Fabric::send(std::size_t src, std::size_t dst, int tag,
                   std::vector<float> payload) {
-  DS_CHECK(src < ranks() && dst < ranks(), "send rank out of range");
-  DS_CHECK(src != dst, "self-send is a bug in the calling schedule");
-  if (faults_on_) {
-    faulty_send(src, dst, tag, std::move(payload));
-    return;
-  }
-  const double bytes = static_cast<double>(payload.size() * sizeof(float));
-  const double cost = link_.transfer_seconds(bytes);
-  double arrival = 0.0;
-  std::vector<std::uint64_t> vclock;
-  {
-    const MutexLock lock(clocks_[src]->mutex);
-    clocks_[src]->value += cost;
-    arrival = clocks_[src]->value;
-    ++clocks_[src]->vclock[src];
-    vclock = clocks_[src]->vclock;
-  }
-  const std::uint64_t seq = vclock[src];
-  FabricMetrics& fm = fabric_metrics();
-  fm.messages_sent.add();
-  fm.bytes_sent.add(static_cast<std::uint64_t>(bytes));
-  fm.message_bytes.observe(bytes);
-  obs::complete_v("fabric", "send", arrival - cost, cost,
-                  static_cast<std::int64_t>(src), bytes);
-  obs::proto::emit_send(static_cast<std::int64_t>(src), arrival, seq,
-                        static_cast<std::int64_t>(dst), tag);
-  Mailbox& box = *mailboxes_[dst];
-  {
-    const MutexLock lock(box.mutex);
-    box.messages.push_back(
-        Message{src, tag, std::move(payload), arrival, std::move(vclock)});
-  }
-  box.cv.notify_all();
+  post(src, dst, tag, std::move(payload), /*overlapped=*/false);
 }
 
-void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
-                         std::vector<float> payload) {
+void Fabric::send_overlapped(std::size_t src, std::size_t dst, int tag,
+                             std::vector<float> payload) {
+  post(src, dst, tag, std::move(payload), /*overlapped=*/true);
+}
+
+void Fabric::post(std::size_t src, std::size_t dst, int tag,
+                  std::vector<float> payload, bool overlapped) {
+  DS_CHECK(src < ranks() && dst < ranks(), "send rank out of range");
+  DS_CHECK(src != dst, "self-send is a bug in the calling schedule");
   check_self_alive(src);
   const double bytes = static_cast<double>(payload.size() * sizeof(float));
-  const double base =
-      link_.transfer_seconds(bytes) * faults_.straggler_for(src);
+  const double straggle = faults_.straggler_for(src);
+  // Per attempt the sender's clock pays `charge`; `wire` runs off its clock
+  // and lands in the arrival stamp. An eager send pays α + β·bytes inline;
+  // an overlapped one pays only the descriptor post (α) while the DMA
+  // engine owns the β·bytes transfer.
+  const double charge =
+      (overlapped ? link_.alpha : link_.transfer_seconds(bytes)) * straggle;
+  const double wire = overlapped ? link_.beta * bytes * straggle : 0.0;
   const double drop = faults_.drop_probability;
-  const std::size_t attempts = std::max<std::size_t>(1, faults_.max_send_attempts);
+  const std::size_t attempts =
+      std::max<std::size_t>(1, faults_.max_send_attempts);
 
   Rng& rng = slots_[src]->rng;  // owner-thread only: sends are rank-serial
   double arrival = 0.0;
   bool delivered = false;
-  double send_begin = 0.0;
-  double send_end = 0.0;
+  double begin = 0.0;
+  double end = 0.0;
   std::size_t attempts_used = 0;
   std::size_t drop_count = 0;
   // Drop timestamps for trace instants, captured inside the clock lock and
@@ -209,11 +191,16 @@ void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
   std::vector<std::uint64_t> vclock;
   {
     const MutexLock lock(clocks_[src]->mutex);
-    send_begin = clocks_[src]->value;
+    begin = clocks_[src]->value;
     for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
       ++attempts_used;
-      double cost = base;
-      if (faults_.jitter > 0.0) cost *= 1.0 + faults_.jitter * rng.uniform();
+      double cost = charge;
+      double transfer = wire;
+      if (faults_.jitter > 0.0) {
+        const double j = 1.0 + faults_.jitter * rng.uniform();
+        cost *= j;
+        transfer *= j;
+      }
       clocks_[src]->value += cost;
       if (drop > 0.0 && rng.uniform() < drop) {
         // Dropped on the wire: the sender's ack timeout pays the backoff,
@@ -225,17 +212,18 @@ void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
         clocks_[src]->value += faults_.retry_backoff;
         continue;
       }
-      arrival = clocks_[src]->value;
+      arrival = clocks_[src]->value + transfer;
       delivered = true;
       break;
     }
-    send_end = clocks_[src]->value;
+    end = clocks_[src]->value;
     // One vector-clock tick per logical message, delivered or not — the
     // receiver-side checker pairs a "lost" narration with this seq.
     ++clocks_[src]->vclock[src];
     vclock = clocks_[src]->vclock;
   }
   const std::uint64_t seq = vclock[src];
+  const auto rank = static_cast<std::int64_t>(src);
   FabricMetrics& fm = fabric_metrics();
   fm.messages_sent.add();
   fm.bytes_sent.add(
@@ -246,27 +234,20 @@ void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
     fm.retransmits.add(attempts_used - 1);
     // Window-attributed per-sender retransmit feed for the online
     // retransmit-storm detector (deterministic: sender clock stamp).
-    obs::monitor::hook_retransmit(static_cast<std::int64_t>(src), send_end,
-                                  attempts_used - 1);
+    obs::monitor::hook_retransmit(rank, end, attempts_used - 1);
   }
-  if (obs::tracing_enabled()) {
-    for (std::size_t i = 0; i < std::min(drop_count, kMaxDropStamps); ++i) {
-      obs::instant_at("fabric", "drop", drop_vtimes[i],
-                      static_cast<std::int64_t>(src));
-    }
-    obs::complete_v("fabric", "send", send_begin, send_end - send_begin,
-                    static_cast<std::int64_t>(src), bytes);
-    obs::proto::emit_send(static_cast<std::int64_t>(src), send_end, seq,
-                          static_cast<std::int64_t>(dst), tag);
+  for (std::size_t i = 0; i < std::min(drop_count, kMaxDropStamps); ++i) {
+    obs::instant_at("fabric", "drop", drop_vtimes[i], rank);
   }
+  obs::complete_v("fabric", overlapped ? "send_overlapped" : "send", begin,
+                  end - begin, rank, bytes);
+  obs::proto::emit_send(rank, end, seq, static_cast<std::int64_t>(dst), tag);
   // Lost after every retransmit: the message silently vanishes — eager
   // sends cannot report this; the receiver's timeout is the backstop.
   if (!delivered) {
     fm.messages_lost.add();
-    obs::instant_at("fabric", "lost", send_end,
-                    static_cast<std::int64_t>(src));
-    obs::proto::emit_lost(static_cast<std::int64_t>(src), send_end, seq,
-                          static_cast<std::int64_t>(dst), tag);
+    obs::instant_at("fabric", "lost", end, rank);
+    obs::proto::emit_lost(rank, end, seq, static_cast<std::int64_t>(dst), tag);
     return;
   }
 
@@ -279,344 +260,102 @@ void Fabric::faulty_send(std::size_t src, std::size_t dst, int tag,
   box.cv.notify_all();
 }
 
-void Fabric::send_overlapped(std::size_t src, std::size_t dst, int tag,
-                             std::vector<float> payload) {
-  DS_CHECK(src < ranks() && dst < ranks(), "send rank out of range");
-  DS_CHECK(src != dst, "self-send is a bug in the calling schedule");
-  if (faults_on_) check_self_alive(src);
-  const double bytes = static_cast<double>(payload.size() * sizeof(float));
-  const double straggle = faults_on_ ? faults_.straggler_for(src) : 1.0;
-  const double wire = link_.beta * bytes * straggle;
-
-  Rng* rng = faults_on_ ? &slots_[src]->rng : nullptr;
-  const double drop = faults_on_ ? faults_.drop_probability : 0.0;
-  const std::size_t attempts =
-      faults_on_ ? std::max<std::size_t>(1, faults_.max_send_attempts) : 1;
-
-  double arrival = 0.0;
-  bool delivered = false;
-  double post_begin = 0.0;
-  double post_end = 0.0;
-  std::size_t attempts_used = 0;
-  std::size_t drop_count = 0;
-  constexpr std::size_t kMaxDropStamps = 8;
-  double drop_vtimes[kMaxDropStamps];
-  std::vector<std::uint64_t> vclock;
-  {
-    const MutexLock lock(clocks_[src]->mutex);
-    post_begin = clocks_[src]->value;
-    for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-      ++attempts_used;
-      // The sender only pays the descriptor post; the DMA engine owns the
-      // β·bytes transfer.
-      double alpha = link_.alpha * straggle;
-      double transfer = wire;
-      if (rng != nullptr && faults_.jitter > 0.0) {
-        const double j = 1.0 + faults_.jitter * rng->uniform();
-        alpha *= j;
-        transfer *= j;
-      }
-      clocks_[src]->value += alpha;
-      if (drop > 0.0 && rng->uniform() < drop) {
-        if (drop_count < kMaxDropStamps) {
-          drop_vtimes[drop_count] = clocks_[src]->value;
-        }
-        ++drop_count;
-        clocks_[src]->value += faults_.retry_backoff;
-        continue;
-      }
-      arrival = clocks_[src]->value + transfer;
-      delivered = true;
-      break;
-    }
-    post_end = clocks_[src]->value;
-    ++clocks_[src]->vclock[src];
-    vclock = clocks_[src]->vclock;
-  }
-  const std::uint64_t seq = vclock[src];
-  FabricMetrics& fm = fabric_metrics();
-  fm.messages_sent.add();
-  fm.bytes_sent.add(
-      static_cast<std::uint64_t>(bytes * static_cast<double>(attempts_used)));
-  fm.message_bytes.observe(bytes);
-  if (drop_count > 0) fm.drops.add(drop_count);
-  if (attempts_used > 1) {
-    fm.retransmits.add(attempts_used - 1);
-    obs::monitor::hook_retransmit(static_cast<std::int64_t>(src), post_end,
-                                  attempts_used - 1);
-  }
-  if (obs::tracing_enabled()) {
-    for (std::size_t i = 0; i < std::min(drop_count, kMaxDropStamps); ++i) {
-      obs::instant_at("fabric", "drop", drop_vtimes[i],
-                      static_cast<std::int64_t>(src));
-    }
-    obs::complete_v("fabric", "send_overlapped", post_begin,
-                    post_end - post_begin, static_cast<std::int64_t>(src),
-                    bytes);
-    obs::proto::emit_send(static_cast<std::int64_t>(src), post_end, seq,
-                          static_cast<std::int64_t>(dst), tag);
-  }
-  if (!delivered) {
-    fm.messages_lost.add();
-    obs::instant_at("fabric", "lost", post_end,
-                    static_cast<std::int64_t>(src));
-    obs::proto::emit_lost(static_cast<std::int64_t>(src), post_end, seq,
-                          static_cast<std::int64_t>(dst), tag);
-    return;
-  }
-
-  Mailbox& box = *mailboxes_[dst];
-  {
-    const MutexLock lock(box.mutex);
-    box.messages.push_back(
-        Message{src, tag, std::move(payload), arrival, std::move(vclock)});
-  }
-  box.cv.notify_all();
-}
-
-bool Fabric::try_recv(std::size_t dst, std::size_t src, int tag,
-                      std::vector<float>& out) {
-  DS_CHECK(src < ranks() && dst < ranks(), "try_recv rank out of range");
-  if (faults_on_) check_self_alive(dst);
-  Mailbox& box = *mailboxes_[dst];
-  Message msg;
-  {
-    const MutexLock lock(box.mutex);
-    const auto it = std::find_if(
-        box.messages.begin(), box.messages.end(), [&](const Message& m) {
-          return m.src == src && m.tag == tag;
-        });
-    if (it == box.messages.end()) return false;
-    msg = std::move(*it);
-    box.messages.erase(it);
-  }
+void Fabric::deliver(std::size_t dst, const Message& msg, bool any,
+                     bool polled) {
   const std::uint64_t seq = msg.vclock[msg.src];
-  double wait = 0.0;
   double wait_begin = 0.0;
   double now = 0.0;
   {
     const MutexLock clock_lock(clocks_[dst]->mutex);
     wait_begin = clocks_[dst]->value;
     clocks_[dst]->value = std::max(clocks_[dst]->value, msg.arrival);
-    wait = clocks_[dst]->value - wait_begin;
     now = clocks_[dst]->value;
     merge_vclock(clocks_[dst]->vclock, msg.vclock, dst);
   }
+  const double wait = now - wait_begin;
+  const auto rank = static_cast<std::int64_t>(dst);
+  const auto src = static_cast<std::int64_t>(msg.src);
   fabric_metrics().recv_wait.add(wait);
   if (wait > 0.0) {
-    obs::complete_v("fabric", "recv_wait", wait_begin, wait,
-                    static_cast<std::int64_t>(dst));
+    obs::complete_v("fabric", "recv_wait", wait_begin, wait, rank);
   }
   // A successful poll narrates the wait at its (instantly satisfied) post
-  // and the recv it resolved into; an empty poll narrated nothing above.
-  if (obs::tracing_enabled()) {
-    obs::proto::emit_wait(static_cast<std::int64_t>(dst), wait_begin,
-                          static_cast<std::int64_t>(src), tag,
-                          /*any=*/false);
+  // and the recv it resolved into; an empty poll narrates nothing.
+  if (polled) obs::proto::emit_wait(rank, wait_begin, src, msg.tag, false);
+  obs::proto::emit_recv(rank, now, seq, src, msg.tag, any);
+}
+
+bool Fabric::try_recv(std::size_t dst, std::size_t src, int tag,
+                      std::vector<float>& out) {
+  DS_CHECK(src < ranks() && dst < ranks(), "try_recv rank out of range");
+  check_self_alive(dst);
+  Mailbox& box = *mailboxes_[dst];
+  Message msg;
+  {
+    const MutexLock lock(box.mutex);
+    if (!pop(box, src, tag, msg)) return false;
   }
-  obs::proto::emit_recv(static_cast<std::int64_t>(dst), now, seq,
-                        static_cast<std::int64_t>(src), tag,
-                        /*any=*/false);
+  deliver(dst, msg, /*any=*/false, /*polled=*/true);
   out = std::move(msg.payload);
   return true;
 }
 
 std::vector<float> Fabric::recv(std::size_t dst, std::size_t src, int tag) {
   DS_CHECK(src < ranks() && dst < ranks(), "recv rank out of range");
-  // Narrate the wait at POST time, unconditionally: whether the message has
-  // physically arrived yet is a wall-clock race, and the traced virtual
-  // event sequence must be schedule-independent (determinism_test).
-  if (obs::tracing_enabled()) {
-    obs::proto::emit_wait(static_cast<std::int64_t>(dst), clock(dst),
-                          static_cast<std::int64_t>(src), tag,
-                          /*any=*/false);
-  }
-  Mailbox& box = *mailboxes_[dst];
-  UniqueLock lock(box.mutex);
-  std::size_t polls = 0;
-  for (;;) {
-    const auto it = std::find_if(
-        box.messages.begin(), box.messages.end(), [&](const Message& m) {
-          return m.src == src && m.tag == tag;
-        });
-    if (it != box.messages.end()) {
-      Message msg = std::move(*it);
-      box.messages.erase(it);
-      lock.unlock();
-      const std::uint64_t seq = msg.vclock[msg.src];
-      double wait = 0.0;
-      double wait_begin = 0.0;
-      double now = 0.0;
-      {
-        const MutexLock clock_lock(clocks_[dst]->mutex);
-        wait_begin = clocks_[dst]->value;
-        clocks_[dst]->value = std::max(clocks_[dst]->value, msg.arrival);
-        wait = clocks_[dst]->value - wait_begin;
-        now = clocks_[dst]->value;
-        merge_vclock(clocks_[dst]->vclock, msg.vclock, dst);
-      }
-      fabric_metrics().recv_wait.add(wait);
-      if (wait > 0.0) {
-        obs::complete_v("fabric", "recv_wait", wait_begin, wait,
-                        static_cast<std::int64_t>(dst));
-      }
-      obs::proto::emit_recv(static_cast<std::int64_t>(dst), now, seq,
-                            static_cast<std::int64_t>(src), tag,
-                            /*any=*/false);
-      return std::move(msg.payload);
-    }
-    if (!faults_on_) {
-      box.cv.wait(lock);
-      continue;
-    }
-    // Faulty mode: poll instead of waiting forever, so that dead peers and
-    // lost messages surface as typed failures rather than deadlocks.
-    if (slots_[src]->state.load(std::memory_order_acquire) != kActive) {
-      lock.unlock();
-      throw RankFailure(src, RankFailure::Kind::kPeerGone,
-                        describe(src, "peer gone with no matching message"));
-    }
-    lock.unlock();
-    check_self_alive(dst);
-    if (polls >= faults_.max_recv_polls) {
-      double timeout_at = 0.0;
-      {
-        const MutexLock clock_lock(clocks_[dst]->mutex);
-        clocks_[dst]->value += faults_.recv_timeout;
-        timeout_at = clocks_[dst]->value;
-      }
-      fabric_metrics().timeouts.add();
-      obs::instant_at("fabric", "timeout", timeout_at,
-                      static_cast<std::int64_t>(dst));
-      obs::proto::emit_timeout(static_cast<std::int64_t>(dst), timeout_at,
-                               static_cast<std::int64_t>(src), tag,
-                               /*any=*/false);
-      throw RankFailure(src, RankFailure::Kind::kTimeout,
-                        describe(dst, "recv timed out — message lost"));
-    }
-    lock.lock();
-    if (box.cv.wait_for(lock, std::chrono::duration<double>(
-                                  faults_.recv_poll_seconds)) ==
-        std::cv_status::timeout) {
-      ++polls;
-    }
-  }
-}
-
-bool Fabric::pop_any(std::size_t dst, Mailbox& box, int tag, Message& out) {
-  const std::size_t p = ranks();
-  if (any_chooser_ == nullptr) {
-    auto best = box.messages.end();
-    std::size_t best_key = p;
-    for (auto it = box.messages.begin(); it != box.messages.end(); ++it) {
-      if (it->tag != tag) continue;
-      // Distance from the rotation start; strict < keeps per-sender FIFO.
-      const std::size_t key = (it->src + p - box.any_rotation) % p;
-      if (best == box.messages.end() || key < best_key) {
-        best_key = key;
-        best = it;
-      }
-    }
-    if (best == box.messages.end()) return false;
-    out = std::move(*best);
-    box.messages.erase(best);
-    box.any_rotation = (out.src + 1) % p;
-    return true;
-  }
-  // Chooser path (check::explore): present the distinct candidate sources
-  // in rotation-preference order and let the hook pick the interleaving.
-  std::vector<std::size_t> candidates;
-  for (const Message& m : box.messages) {
-    if (m.tag != tag) continue;
-    if (std::find(candidates.begin(), candidates.end(), m.src) ==
-        candidates.end()) {
-      candidates.push_back(m.src);
-    }
-  }
-  if (candidates.empty()) return false;
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::size_t a, std::size_t b) {
-              return (a + p - box.any_rotation) % p <
-                     (b + p - box.any_rotation) % p;
-            });
-  const std::size_t pick = any_chooser_(any_chooser_ctx_, dst,
-                                        candidates.data(), candidates.size());
-  if (pick == kChooserWait) return false;
-  DS_CHECK(pick < candidates.size(), "any chooser index out of range");
-  const std::size_t src = candidates[pick];
-  const auto it = std::find_if(
-      box.messages.begin(), box.messages.end(),
-      [&](const Message& m) { return m.src == src && m.tag == tag; });
-  out = std::move(*it);
-  box.messages.erase(it);
-  box.any_rotation = (src + 1) % p;
-  return true;
+  Message msg = await(dst, src, tag);
+  deliver(dst, msg, /*any=*/false, /*polled=*/false);
+  return std::move(msg.payload);
 }
 
 std::pair<std::size_t, std::vector<float>> Fabric::recv_any(std::size_t dst,
                                                             int tag) {
   DS_CHECK(dst < ranks(), "recv_any rank out of range");
-  // Post-time narration, same determinism argument as recv().
+  Message msg = await(dst, kAnySource, tag);
+  deliver(dst, msg, /*any=*/true, /*polled=*/false);
+  return {msg.src, std::move(msg.payload)};
+}
+
+Fabric::Message Fabric::await(std::size_t dst, std::size_t src, int tag) {
+  const bool any = src == kAnySource;
+  const auto rank = static_cast<std::int64_t>(dst);
+  const auto peer = static_cast<std::int64_t>(any ? 0 : src);
+  // Narrate the wait at POST time, unconditionally: whether the message has
+  // physically arrived yet is a wall-clock race, and the traced virtual
+  // event sequence must be schedule-independent (determinism_test).
   if (obs::tracing_enabled()) {
-    obs::proto::emit_wait(static_cast<std::int64_t>(dst), clock(dst),
-                          /*src=*/0, tag, /*any=*/true);
+    obs::proto::emit_wait(rank, clock(dst), peer, tag, any);
   }
   Mailbox& box = *mailboxes_[dst];
   UniqueLock lock(box.mutex);
   std::size_t polls = 0;
-  for (;;) {
-    Message msg;
-    if (pop_any(dst, box, tag, msg)) {
-      lock.unlock();
-      const std::uint64_t seq = msg.vclock[msg.src];
-      double wait = 0.0;
-      double wait_begin = 0.0;
-      double now = 0.0;
-      {
-        const MutexLock clock_lock(clocks_[dst]->mutex);
-        wait_begin = clocks_[dst]->value;
-        clocks_[dst]->value = std::max(clocks_[dst]->value, msg.arrival);
-        wait = clocks_[dst]->value - wait_begin;
-        now = clocks_[dst]->value;
-        merge_vclock(clocks_[dst]->vclock, msg.vclock, dst);
-      }
-      fabric_metrics().recv_wait.add(wait);
-      if (wait > 0.0) {
-        obs::complete_v("fabric", "recv_wait", wait_begin, wait,
-                        static_cast<std::int64_t>(dst));
-      }
-      obs::proto::emit_recv(static_cast<std::int64_t>(dst), now, seq,
-                            static_cast<std::int64_t>(msg.src), tag,
-                            /*any=*/true);
-      return {msg.src, std::move(msg.payload)};
+  Message msg;
+  while (!(any ? pop_any(dst, box, tag, msg) : pop(box, src, tag, msg))) {
+    // Liveness, in every mode, under the mailbox lock (a sender enqueues
+    // before it retires, so a gone sender's last message is already here).
+    // A matching message may be queued even though pop_any declined to
+    // serve it (an any-chooser stalling for candidate discovery); the
+    // receive can then still complete.
+    bool sender_alive = false;
+    for (std::size_t r = 0; r < ranks(); ++r) {
+      sender_alive |= (any ? r != dst : r == src) &&
+                      slots_[r]->state.load(std::memory_order_acquire) ==
+                          kActive;
+    }
+    const bool queued =
+        any && std::any_of(box.messages.begin(), box.messages.end(),
+                           [&](const Message& m) { return m.tag == tag; });
+    if (!sender_alive && !queued) {
+      throw RankFailure(
+          any ? dst : src, RankFailure::Kind::kPeerGone,
+          any ? describe(dst, "no active senders remain")
+              : describe(src, "peer gone with no matching message"));
     }
     if (!faults_on_) {
       box.cv.wait(lock);
       continue;
     }
-    bool any_sender_alive = false;
-    for (std::size_t r = 0; r < ranks(); ++r) {
-      if (r != dst &&
-          slots_[r]->state.load(std::memory_order_acquire) == kActive) {
-        any_sender_alive = true;
-        break;
-      }
-    }
-    // A matching message may be queued even though pop_any declined to
-    // serve it (an any-chooser stalling for candidate discovery). Senders
-    // being gone is then irrelevant: the receive can still complete.
-    bool matching_queued = false;
-    for (const Message& m : box.messages) {
-      if (m.tag == tag) {
-        matching_queued = true;
-        break;
-      }
-    }
-    if (!any_sender_alive && !matching_queued) {
-      lock.unlock();
-      throw RankFailure(dst, RankFailure::Kind::kPeerGone,
-                        describe(dst, "no active senders remain"));
-    }
+    // Under an active plan, poll instead of waiting forever, so that a
+    // crash of this rank or a lost message surfaces as a typed failure.
     lock.unlock();
     check_self_alive(dst);
     if (polls >= faults_.max_recv_polls) {
@@ -627,12 +366,11 @@ std::pair<std::size_t, std::vector<float>> Fabric::recv_any(std::size_t dst,
         timeout_at = clocks_[dst]->value;
       }
       fabric_metrics().timeouts.add();
-      obs::instant_at("fabric", "timeout", timeout_at,
-                      static_cast<std::int64_t>(dst));
-      obs::proto::emit_timeout(static_cast<std::int64_t>(dst), timeout_at,
-                               /*src=*/0, tag, /*any=*/true);
-      throw RankFailure(dst, RankFailure::Kind::kTimeout,
-                        describe(dst, "recv_any timed out"));
+      obs::instant_at("fabric", "timeout", timeout_at, rank);
+      obs::proto::emit_timeout(rank, timeout_at, peer, tag, any);
+      throw RankFailure(any ? dst : src, RankFailure::Kind::kTimeout,
+                        describe(dst, any ? "recv_any timed out"
+                                          : "recv timed out — message lost"));
     }
     lock.lock();
     if (box.cv.wait_for(lock, std::chrono::duration<double>(
@@ -641,6 +379,48 @@ std::pair<std::size_t, std::vector<float>> Fabric::recv_any(std::size_t dst,
       ++polls;
     }
   }
+  return msg;
+}
+
+bool Fabric::pop(Mailbox& box, std::size_t src, int tag, Message& out) {
+  const auto it = std::find_if(
+      box.messages.begin(), box.messages.end(),
+      [&](const Message& m) { return m.src == src && m.tag == tag; });
+  if (it == box.messages.end()) return false;
+  out = std::move(*it);
+  box.messages.erase(it);
+  return true;
+}
+
+bool Fabric::pop_any(std::size_t dst, Mailbox& box, int tag, Message& out) {
+  // The distinct queued sources in rotation-preference order: distance from
+  // the rotation start, so index 0 is one past the last source served.
+  const std::size_t p = ranks();
+  const std::size_t start = box.any_rotation;
+  const auto before = [&](std::size_t a, std::size_t b) {
+    return (a + p - start) % p < (b + p - start) % p;
+  };
+  std::vector<std::size_t>& candidates = box.candidates;
+  candidates.clear();
+  for (const Message& m : box.messages) {
+    if (m.tag != tag) continue;
+    const auto at = std::lower_bound(candidates.begin(), candidates.end(),
+                                     m.src, before);
+    if (at == candidates.end() || *at != m.src) candidates.insert(at, m.src);
+  }
+  if (candidates.empty()) return false;
+  std::size_t pick = 0;
+  if (any_chooser_ != nullptr) {
+    pick = any_chooser_(any_chooser_ctx_, dst, candidates.data(),
+                        candidates.size());
+    if (pick == kChooserWait) return false;
+    DS_CHECK(pick < candidates.size(), "any chooser index out of range");
+  }
+  // Per-sender FIFO: pop serves the chosen source's oldest message.
+  const std::size_t src = candidates[pick];
+  pop(box, src, tag, out);
+  box.any_rotation = (src + 1) % p;
+  return true;
 }
 
 double Fabric::clock(std::size_t rank) const {
@@ -658,11 +438,6 @@ std::vector<std::uint64_t> Fabric::vclock(std::size_t rank) const {
 void Fabric::advance(std::size_t rank, double seconds) {
   DS_CHECK(rank < ranks(), "advance rank out of range");
   DS_CHECK(seconds >= 0.0, "cannot advance clock backwards");
-  if (!faults_on_) {
-    const MutexLock lock(clocks_[rank]->mutex);
-    clocks_[rank]->value += seconds;
-    return;
-  }
   check_self_alive(rank);
   const double slowed = seconds * faults_.straggler_for(rank);
   const double crash = faults_.crash_time(rank);

@@ -13,10 +13,15 @@
 // fabric at construction. When the plan is active, sends may be dropped and
 // retransmitted (charging the sender's clock per attempt), transfers pick up
 // jitter, stragglers run slow, and ranks die at scheduled virtual times.
-// Blocking receives then poll for peer liveness instead of waiting forever:
-// a vanished peer or a permanently lost message surfaces as a RankFailure
-// instead of a deadlock. An all-zero plan is behavior-neutral — the fabric
-// takes exactly the fault-free code paths.
+// Every mode runs one path: an inactive plan feeds it neutral values (a
+// ×1.0 straggler factor, no jitter, no drops) and draws no random numbers,
+// so its clocks are bit-identical to a fault-free run. Blocking receives
+// check peer liveness on every wake-up in every mode: a retired or failed
+// peer with nothing queued surfaces as RankFailure(kPeerGone). Only an
+// active plan adds wall-clock polling and the kTimeout backstop against a
+// permanently lost message; without one a slow peer never times out.
+// Pinned by CollectiveFaultNeutrality.ZeroPlanClocksMatchNoPlanBitwise and
+// Fabric.BlockedRecvSeesAPeerRetireWithoutAPlan.
 //
 // Protocol observability: every rank carries a Lamport vector clock. send()
 // ticks the sender's component and piggybacks a snapshot on the Message;
@@ -90,9 +95,9 @@ class Fabric {
                 std::vector<float>& out);
 
   /// Blocking receive matching (src, tag); advances the receiver's clock to
-  /// the message arrival time. Under an active FaultPlan, throws
-  /// RankFailure(kPeerGone) when src is dead/retired with no matching
-  /// message pending, and RankFailure(kTimeout) — after charging
+  /// the message arrival time. Throws RankFailure(kPeerGone) when src is
+  /// dead/retired with no matching message pending. Under an active
+  /// FaultPlan it also throws RankFailure(kTimeout) — after charging
   /// recv_timeout virtual seconds — when the wait exhausts max_recv_polls.
   std::vector<float> recv(std::size_t dst, std::size_t src, int tag);
 
@@ -104,9 +109,9 @@ class Fabric {
   /// which message arrived first; messages from one source are still
   /// served in their send order. Plain arrival order always favoured
   /// low-numbered ranks under contention, so fairness deliberately trumps
-  /// FCFS here. Returns {source, payload}. Fault semantics as recv(), with
-  /// kPeerGone raised once every other rank is dead/retired and nothing is
-  /// queued.
+  /// FCFS here. Returns {source, payload}. Failure semantics as recv(),
+  /// with kPeerGone raised once every other rank is dead/retired and
+  /// nothing is queued.
   std::pair<std::size_t, std::vector<float>> recv_any(std::size_t dst,
                                                       int tag);
 
@@ -206,6 +211,8 @@ class Fabric {
     // served, so repeated wildcard receives sweep sources round-robin
     // instead of serving whichever message arrived first.
     std::size_t any_rotation DS_GUARDED_BY(mutex) = 0;
+    // pop_any's candidate sources, kept to reuse its capacity.
+    std::vector<std::size_t> candidates DS_GUARDED_BY(mutex);
   };
 
   struct ClockSlot {
@@ -228,9 +235,26 @@ class Fabric {
   /// Wake every blocked receiver so it can re-evaluate rank liveness.
   void notify_all_mailboxes();
 
-  /// Deliver after the fault gauntlet: drop/retransmit/jitter/straggler.
-  void faulty_send(std::size_t src, std::size_t dst, int tag,
-                   std::vector<float> payload);
+  /// Posting routine of send (eager) and send_overlapped: the attempt,
+  /// drop and jitter loop, metrics, narration, loss and enqueue.
+  void post(std::size_t src, std::size_t dst, int tag,
+            std::vector<float> payload, bool overlapped);
+
+  /// Delivery step of every receive: advance `dst` to the arrival, merge
+  /// the vector clock, record and narrate the wait and the recv. `polled`
+  /// also narrates the wait a successful try_recv resolved.
+  void deliver(std::size_t dst, const Message& msg, bool any, bool polled);
+
+  /// Blocking wait of recv and of recv_any (src == kAnySource): returns the
+  /// matched message, or throws RankFailure(kPeerGone) once no sender that
+  /// could post it is active and nothing matching is queued. Under an
+  /// active plan it polls, checks this rank's crash and times out.
+  static constexpr std::size_t kAnySource = static_cast<std::size_t>(-1);
+  Message await(std::size_t dst, std::size_t src, int tag);
+
+  /// Pop the oldest message from `src` matching `tag`, or nothing.
+  static bool pop(Mailbox& box, std::size_t src, int tag, Message& out)
+      DS_REQUIRES(box.mutex);
 
   /// Pop the rotation-preferred (or chooser-selected) message matching
   /// `tag`, or nothing. Callers hold the mailbox lock; the chooser hook

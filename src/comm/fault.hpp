@@ -11,10 +11,14 @@
 //   * All randomness derives from plan.seed via per-rank xoshiro streams,
 //     so a given plan + schedule replays the same faults every run.
 //   * A default-constructed (all-zero) plan is behavior-neutral: the fabric
-//     takes exactly the pre-fault code paths and reproduces virtual-time
-//     numbers bit-for-bit.
-//   * Faults never deadlock: a lost message or dead peer surfaces as a
-//     typed RankFailure instead of an eternal condition-variable wait.
+//     runs its one send/receive path with neutral values (straggler ×1.0,
+//     no jitter, no drops) and draws no random numbers, so virtual-time
+//     numbers are bit-identical to a run without a plan
+//     (CollectiveFaultNeutrality.ZeroPlanClocksMatchNoPlanBitwise).
+//   * Faults never deadlock: a dead or retired peer surfaces as a typed
+//     RankFailure(kPeerGone) in every mode; under an active plan a lost
+//     message surfaces as RankFailure(kTimeout) instead of an eternal
+//     condition-variable wait.
 #pragma once
 
 #include <cstddef>
@@ -100,8 +104,9 @@ struct FaultPlan {
   /// typed failure.
   bool poll_recvs = false;
 
-  /// False ⇔ the plan injects nothing and the fabric must take the exact
-  /// pre-fault code paths (the zero-cost-when-disabled guarantee).
+  /// False ⇔ the plan injects nothing and does not ask for polling: the
+  /// fabric's receives then block without a timeout, and the crash checks
+  /// are skipped.
   bool active() const;
 
   /// Straggler slowdown for `rank` (1.0 when unspecified).

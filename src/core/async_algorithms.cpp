@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstring>
 #include <sstream>
-#include <thread>
 
 #include "support/thread_annotations.hpp"
 
@@ -232,12 +231,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     master.ledger += local_ledger;
   };
 
-  std::vector<std::thread> threads;
-  threads.reserve(cfg.workers);
-  for (std::size_t i = 0; i < cfg.workers; ++i) {
-    threads.emplace_back(worker_fn, i);
-  }
-  for (auto& t : threads) t.join();
+  parallel_for_threads(cfg.workers, worker_fn);
 
   // Probe the snapshots after the fact, on the now idle networks (probes
   // are not part of the measured training time). The workers are joined,

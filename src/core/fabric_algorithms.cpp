@@ -231,6 +231,12 @@ class FabricRun {
       }
       obs::monitor::hook_failure(static_cast<std::int64_t>(id),
                                  fabric.clock(id), failure.what());
+    } catch (...) {
+      // Any other error (bad input, a layer's typed error) ends the run:
+      // retiring unblocks the peers waiting on this rank, and
+      // parallel_for_threads rethrows it to the caller.
+      fabric.retire(id);
+      throw;
     }
     ledgers_[id] = rank.ledger;
     fabric.retire(id);

@@ -1,5 +1,7 @@
 #include "data/sampler.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "support/error.hpp"
@@ -24,9 +26,13 @@ void BatchSampler::next(Tensor& images, std::vector<std::int32_t>& labels) {
 void gather_images(const Dataset& dataset,
                    std::span<const std::size_t> indices, Tensor& images) {
   const std::size_t sample = dataset.sample_numel();
-  const Shape want{indices.size(), dataset.images.dim(1),
-                   dataset.images.dim(2), dataset.images.dim(3)};
-  images.resize(want);
+  const std::array<std::size_t, 4> want{indices.size(), dataset.images.dim(1),
+                                        dataset.images.dim(2),
+                                        dataset.images.dim(3)};
+  // Compared in place: building a Shape allocates, once per batch.
+  if (!std::ranges::equal(images.shape().dims(), want)) {
+    images.resize(Shape{want[0], want[1], want[2], want[3]});
+  }
   for (std::size_t i = 0; i < indices.size(); ++i) {
     DS_CHECK(indices[i] < dataset.size(),
              "batch index " << indices[i] << " out of " << dataset.size());

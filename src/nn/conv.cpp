@@ -48,14 +48,12 @@ void count_dispatch(ConvAlgo algo, double flops) {
 }  // namespace
 
 Conv2D::Conv2D(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel, std::size_t stride, std::size_t pad,
-               ConvAlgo algo)
+               std::size_t kernel, std::size_t stride, std::size_t pad)
     : in_c_(in_channels),
       out_c_(out_channels),
       kernel_(kernel),
       stride_(stride),
-      pad_(pad),
-      algo_(algo) {
+      pad_(pad) {
   DS_CHECK(in_c_ > 0 && out_c_ > 0 && kernel_ > 0 && stride_ > 0,
            "conv dims must be positive");
 }
@@ -84,7 +82,7 @@ ConvGeom Conv2D::geom_for(const Shape& input) const {
 }
 
 ConvAlgo Conv2D::resolved_algo(const Shape& input) const {
-  return resolve_conv_algo(algo_, geom_for(input), out_c_);
+  return resolve_conv_algo(geom_for(input), out_c_);
 }
 
 Shape Conv2D::output_shape(const Shape& input) const {
@@ -206,7 +204,7 @@ void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
 
 void Conv2D::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const ConvGeom g = geom_for(x.shape());
-  const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
+  const ConvAlgo algo = resolve_conv_algo(g, out_c_);
   count_dispatch(algo,
                  gemm_flops(out_c_, x.dim(0) * g.col_cols(), g.col_rows()));
   if (!train) {
@@ -311,7 +309,7 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
 
 void Conv2D::backward_into(const Tensor& x, const Tensor& dy, Tensor* dx) {
   const ConvGeom g = geom_for(x.shape());
-  const ConvAlgo algo = resolve_conv_algo(algo_, g, out_c_);
+  const ConvAlgo algo = resolve_conv_algo(g, out_c_);
   if (algo == ConvAlgo::kDirect) {
     backward_direct(g, x, dy, dx);
   } else {

@@ -119,25 +119,22 @@ void InceptionBlock::backward_impl(const Tensor& x, const Tensor& /*y*/,
   const std::size_t out_c = dy.dim(1);
 
   std::size_t c_offset = 0;
-  Tensor branch_dy;
-  Tensor stage_dx;
-  Tensor next_grad;
   for (auto& b : branches_) {
     const std::size_t bc = b.acts.back().dim(1);
     // Slice dy channels belonging to this branch.
-    branch_dy.resize(b.acts.back().shape());
+    branch_dy_.resize(b.acts.back().shape());
     for (std::size_t n = 0; n < batch; ++n) {
-      std::memcpy(branch_dy.data() + n * bc * hw,
+      std::memcpy(branch_dy_.data() + n * bc * hw,
                   dy.data() + (n * out_c + c_offset) * hw,
                   bc * hw * sizeof(float));
     }
     // Back-propagate through the branch stages.
-    Tensor* grad = &branch_dy;
+    Tensor* grad = &branch_dy_;
     for (std::size_t s = b.stages.size(); s-- > 0;) {
       const Tensor& stage_in = (s == 0) ? x : b.acts[s - 1];
-      b.stages[s]->backward(stage_in, b.acts[s], *grad, stage_dx);
-      std::swap(stage_dx, next_grad);
-      grad = &next_grad;
+      b.stages[s]->backward(stage_in, b.acts[s], *grad, stage_dx_);
+      std::swap(stage_dx_, next_grad_);
+      grad = &next_grad_;
     }
     // Sum branch input-gradients.
     const float* g = grad->data();

@@ -96,14 +96,13 @@ class Dropout final : public Layer {
 /// 2-D convolution. Parameters are [out_c × in_c × k × k] filter weights
 /// followed by [out_c] biases. Each forward/backward dispatches over one of
 /// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering or
-/// register-blocked direct 3×3 — resolved per call through layer algo →
+/// register-blocked direct 3×3 — resolved per call through
 /// kernel_config().conv_algo → shape heuristic, with im2col the universal
 /// fallback. Both paths are bitwise-deterministic under gemm_threads > 1.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         std::size_t stride = 1, std::size_t pad = 0,
-         ConvAlgo algo = ConvAlgo::kAuto);
+         std::size_t stride = 1, std::size_t pad = 0);
 
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
@@ -115,8 +114,6 @@ class Conv2D final : public Layer {
   std::size_t in_channels() const { return in_c_; }
   std::size_t out_channels() const { return out_c_; }
 
-  ConvAlgo algo() const { return algo_; }
-  void set_algo(ConvAlgo a) { algo_ = a; }
   /// The kernel a call with this input shape would run, after the full
   /// kAuto resolution chain (benches/tests label themselves with it).
   ConvAlgo resolved_algo(const Shape& input) const;
@@ -147,7 +144,6 @@ class Conv2D final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t pad_;
-  ConvAlgo algo_ = ConvAlgo::kAuto;
   // Grow-only scratch workspaces (see AlignedBuffer::ensure): the whole
   // batch is lowered into one [rows × batch·cols] column matrix so forward
   // and backward each run a single batched GEMM per layer instead of one
@@ -328,6 +324,11 @@ class InceptionBlock final : public Layer {
   std::size_t out_1x1_, out_3x3_, out_5x5_, out_pool_;
   std::vector<Branch> branches_;
   Tensor infer_bufs_[2];  // inference stage outputs, alternating
+  // Backward scratch, grow-only: one branch's dy slice and the stage
+  // gradients, alternating.
+  Tensor branch_dy_;
+  Tensor stage_dx_;
+  Tensor next_grad_;
 };
 
 }  // namespace ds

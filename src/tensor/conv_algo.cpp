@@ -41,10 +41,8 @@ ConvAlgo choose_conv_algo(const ConvGeom& g, std::size_t out_channels) {
   return ConvAlgo::kDirect;
 }
 
-ConvAlgo resolve_conv_algo(ConvAlgo layer_algo, const ConvGeom& g,
-                           std::size_t out_channels) {
-  ConvAlgo a = layer_algo;
-  if (a == ConvAlgo::kAuto) a = kernel_config().conv_algo;
+ConvAlgo resolve_conv_algo(const ConvGeom& g, std::size_t out_channels) {
+  ConvAlgo a = kernel_config().conv_algo;
   if (a == ConvAlgo::kAuto) a = choose_conv_algo(g, out_channels);
   if (!conv_algo_supported(a, g)) a = ConvAlgo::kIm2col;
   return a;

@@ -10,12 +10,10 @@
 //               family only. No lowering traffic; forward and both backward
 //               passes.
 //
-// kAuto resolves through two levels, most specific wins:
-//   per-layer  Conv2D(..., algo)            — explicit per-layer choice
-//   per-thread kernel_config().conv_algo    — benches, property tests (a
-//              ReplicaSet copies the caller's KernelConfig into its worker
-//              tasks, so this reaches the modeled workers too)
-// and finally the shape heuristic choose_conv_algo(). Both kernels are
+// The per-thread kernel_config().conv_algo pins a kernel (benches, property
+// tests; a ReplicaSet copies the caller's KernelConfig into its worker
+// tasks, so this reaches the modeled workers too); kAuto leaves the choice
+// to the shape heuristic choose_conv_algo(). Both kernels are
 // bitwise-deterministic under kernel_config().gemm_threads > 1, like the
 // packed GEMM (DESIGN.md §7): parallel partitions never change any
 // output's reduction order.
@@ -39,9 +37,8 @@ bool conv_algo_supported(ConvAlgo a, const ConvGeom& g);
 /// planes of 12×12 and up, im2col for everything else.
 ConvAlgo choose_conv_algo(const ConvGeom& g, std::size_t out_channels);
 
-/// Fully resolve: layer choice → thread choice → heuristic, then fall back
-/// to kIm2col if the pick cannot run `g`.
-ConvAlgo resolve_conv_algo(ConvAlgo layer_algo, const ConvGeom& g,
-                           std::size_t out_channels);
+/// Fully resolve: thread choice → heuristic, then fall back to kIm2col if
+/// the pick cannot run `g`.
+ConvAlgo resolve_conv_algo(const ConvGeom& g, std::size_t out_channels);
 
 }  // namespace ds

@@ -1,9 +1,10 @@
 // Property tests for the Fabric's binomial-tree collectives: for every
 // rank count in {1, 2, 3, 5, 8, 16} (powers of two and awkward odd sizes),
 // every collective must agree with a serial reference computed on the same
-// payloads, for several roots, and identically with no FaultPlan, with an
-// all-zero plan (behavior-neutrality), and with an active payload-neutral
-// plan (jitter only — time changes, data must not).
+// payloads, for several roots, and identically with no FaultPlan, with a
+// plan that is active but injects nothing (behavior-neutrality), and with
+// an active payload-neutral plan (jitter only — time changes, data must
+// not).
 //
 // Payloads are small integers stored as floats, so elementwise sums are
 // exact regardless of reduction-tree association and every comparison can
@@ -11,11 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "comm/cost_model.hpp"
 #include "comm/fabric.hpp"
 #include "comm/fault.hpp"
+#include "obs/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -33,7 +36,9 @@ Fabric make_fabric(std::size_t ranks, PlanMode mode) {
     case PlanMode::kNoPlan:
       return Fabric(ranks, link);
     case PlanMode::kZeroPlan:
-      return Fabric(ranks, link, FaultPlan::none());
+      // Active (it polls, with the default budget) yet injecting nothing:
+      // a plan-free fabric already runs FaultPlan::none().
+      return Fabric(ranks, link, FaultPlan::none().with_polling(2000, 0.002));
     case PlanMode::kJitterPlan:
       return Fabric(ranks, link, FaultPlan{}.with_jitter(0.5));
   }
@@ -150,25 +155,65 @@ INSTANTIATE_TEST_SUITE_P(AllPlans, CollectiveProperty,
 
 TEST(CollectiveFaultNeutrality, ZeroPlanClocksMatchNoPlanBitwise) {
   // The zero-cost-when-disabled guarantee at fabric level: the same
-  // collective schedule on a plan-free fabric and on an all-zero-plan
-  // fabric must land every rank on the bitwise-identical virtual clock.
+  // schedule on a plan-free fabric and on an active plan that injects
+  // nothing must land every rank on the bitwise-identical virtual and
+  // vector clock, with the same fabric counters. The schedule covers the
+  // collectives, eager and overlapped sends, wildcard and polled receives;
+  // rank 0 takes every push before it replies, so its clocks do not depend
+  // on the order recv_any serves them.
+  constexpr int kPush = 1;
+  constexpr int kReply = 2;
+  const char* const counters[] = {
+      obs::names::kFabricMessagesSent, obs::names::kFabricBytesSent,
+      obs::names::kFabricDrops,        obs::names::kFabricRetransmits,
+      obs::names::kFabricMessagesLost, obs::names::kFabricTimeouts};
   for (const std::size_t p : kRankCounts) {
     SCOPED_TRACE(::testing::Message() << "P=" << p);
     Fabric bare = make_fabric(p, PlanMode::kNoPlan);
     Fabric zero = make_fabric(p, PlanMode::kZeroPlan);
+    ASSERT_TRUE(zero.faults().active());
     const auto payloads = make_payloads(p, 7401 + p);
+    std::vector<std::vector<double>> deltas;
     for (Fabric* fabric : {&bare, &zero}) {
       auto buffers = payloads;
+      const obs::MetricsSnapshot before = obs::metrics().snapshot();
       parallel_for_threads(p, [&](std::size_t r) {
         fabric->advance(r, 1.5e-3 * static_cast<double>(r + 1));
         fabric->tree_allreduce(r, 0, buffers[r]);
         fabric->barrier(r);
+        if (r == 0) {
+          std::vector<std::vector<float>> pushes(p);
+          for (std::size_t i = 1; i < p; ++i) {
+            auto [src, payload] = fabric->recv_any(0, kPush);
+            pushes[src] = std::move(payload);
+          }
+          for (std::size_t w = 1; w < p; ++w) {
+            fabric->send_overlapped(0, w, kReply, std::move(pushes[w]));
+          }
+        } else {
+          fabric->send_overlapped(r, 0, kPush, buffers[r]);
+          std::vector<float> reply;
+          while (!fabric->try_recv(r, 0, kReply, reply)) {
+            std::this_thread::yield();
+          }
+          EXPECT_EQ(reply, buffers[r]);
+        }
       });
+      const obs::MetricsSnapshot after = obs::metrics().snapshot();
+      deltas.emplace_back();
+      for (const char* name : counters) {
+        deltas.back().push_back(after.delta(before, name));
+      }
     }
     for (std::size_t r = 0; r < p; ++r) {
       EXPECT_EQ(bare.clock(r), zero.clock(r)) << "rank " << r;
+      EXPECT_EQ(bare.vclock(r), zero.vclock(r)) << "rank " << r;
     }
     EXPECT_EQ(bare.max_clock(), zero.max_clock());
+    EXPECT_EQ(deltas[0], deltas[1]);
+    if (p > 1) {
+      EXPECT_GT(deltas[0][0], 0.0);
+    }
   }
 }
 

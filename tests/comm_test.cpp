@@ -1,3 +1,4 @@
+#include <chrono>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -7,7 +8,10 @@
 #include "comm/collectives.hpp"
 #include "comm/cost_model.hpp"
 #include "comm/fabric.hpp"
+#include "comm/fault.hpp"
 #include "comm/ledger.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
@@ -271,6 +275,70 @@ TEST(Fabric, RecvKeepsLaterLocalClock) {
 TEST(Fabric, SelfSendRejected) {
   Fabric fabric(2, fdr_infiniband());
   EXPECT_THROW(fabric.send(0, 0, 0, {1.0f}), Error);
+}
+
+TEST(Fabric, OverlappedSendChargesTheSenderAlphaOnly) {
+  const LinkModel link{"t", 1.0e-3, 1.0e-6};  // 1 ms latency, 1 µs per byte
+  Fabric fabric(2, link);
+  fabric.advance(0, 2.0e-3);
+  fabric.send_overlapped(0, 1, 0, std::vector<float>(250));  // 1000 bytes
+  const double posted = fabric.clock(0);
+  EXPECT_EQ(posted, 2.0e-3 + 1.0e-3) << "the sender pays α only";
+  fabric.recv(1, 0, 0);
+  EXPECT_EQ(fabric.clock(1), posted + 1.0e-6 * 1000.0)
+      << "arrival = post time + β·bytes";
+}
+
+TEST(Fabric, EmptyTryRecvReturnsFalseAndNarratesNothing) {
+  Fabric fabric(2, fdr_infiniband());
+  fabric.send(0, 1, 4, {1.0f});  // queued under another tag
+  obs::set_tracing_enabled(false);
+  obs::reset();
+  obs::set_tracing_enabled(true);
+  std::vector<float> out{7.0f};
+  EXPECT_FALSE(fabric.try_recv(1, 0, 3, out));
+  const std::vector<obs::ThreadEvents> threads = obs::snapshot();
+  obs::set_tracing_enabled(false);
+  obs::reset();
+  std::size_t events = 0;
+  for (const obs::ThreadEvents& t : threads) events += t.events.size();
+  EXPECT_EQ(events, 0u);
+  EXPECT_EQ(out, (std::vector<float>{7.0f}));
+  EXPECT_EQ(fabric.clock(1), 0.0);
+  EXPECT_TRUE(fabric.try_recv(1, 0, 4, out));
+  EXPECT_EQ(out, (std::vector<float>{1.0f}));
+}
+
+TEST(Fabric, MessageDroppedOnEveryAttemptIsLostAndCounted) {
+  const FaultPlan plan = FaultPlan{}.with_drop(1.0).with_polling(1, 0.001);
+  Fabric fabric(2, fdr_infiniband(), plan);
+  const obs::MetricsSnapshot before = obs::metrics().snapshot();
+  fabric.send(0, 1, 0, {1.0f});
+  fabric.send_overlapped(0, 1, 0, {2.0f});
+  const obs::MetricsSnapshot after = obs::metrics().snapshot();
+  EXPECT_EQ(after.delta(before, obs::names::kFabricMessagesLost), 2.0);
+  EXPECT_EQ(after.delta(before, obs::names::kFabricDrops),
+            2.0 * static_cast<double>(plan.max_send_attempts));
+  std::vector<float> out;
+  EXPECT_FALSE(fabric.try_recv(1, 0, 0, out));
+  EXPECT_THROW(fabric.recv(1, 0, 0), RankFailure) << "the timeout backstop";
+}
+
+TEST(Fabric, BlockedRecvSeesAPeerRetireWithoutAPlan) {
+  // Liveness is checked in every mode: without a fault plan a receive
+  // blocked on a peer that retires must unwind, not wait forever.
+  Fabric fabric(3, fdr_infiniband());
+  fabric.send(1, 0, 0, {1.0f});
+  std::thread peer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    fabric.retire(1);
+    fabric.retire(2);
+  });
+  EXPECT_EQ(fabric.recv(0, 1, 0), (std::vector<float>{1.0f}))
+      << "a retired peer's queued message is still delivered";
+  EXPECT_THROW(fabric.recv(0, 1, 0), RankFailure);
+  EXPECT_THROW(fabric.recv_any(0, 0), RankFailure);
+  peer.join();
 }
 
 class FabricCollectiveTest : public ::testing::TestWithParam<std::size_t> {};

@@ -41,18 +41,34 @@ Tensor random_input(Rng& rng, std::size_t n, std::size_t c, std::size_t h,
   return t;
 }
 
-// A Conv2D pinned to `algo`, bound to its own storage and initialised
-// deterministically from `seed`.
+// A Conv2D bound to its own storage and initialised deterministically from
+// `seed`, whose calls run with the thread knob pinned to `algo`.
 struct BoundConv {
   explicit BoundConv(std::size_t in_c, std::size_t out_c, ConvAlgo algo,
                      std::uint64_t seed)
-      : conv(in_c, out_c, 3, 1, 1, algo),
+      : algo(algo),
+        conv(in_c, out_c, 3, 1, 1),
         params(conv.param_count()),
         grads(conv.param_count()) {
     conv.bind(std::span<float>(params), std::span<float>(grads));
     Rng rng(seed);
     conv.init_params(rng);
   }
+  void forward(const Tensor& x, Tensor& y) {
+    const AlgoGuard guard(algo);
+    conv.forward(x, y, /*train=*/true);
+  }
+  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
+                Tensor& dx) {
+    const AlgoGuard guard(algo);
+    conv.backward(x, y, dy, dx);
+  }
+  void backward_params(const Tensor& x, const Tensor& y, const Tensor& dy,
+                       Tensor& scratch) {
+    const AlgoGuard guard(algo);
+    conv.backward_params(x, y, dy, scratch);
+  }
+  ConvAlgo algo;
   Conv2D conv;
   std::vector<float> params;
   std::vector<float> grads;
@@ -108,8 +124,8 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
   BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 42);
   BoundConv direct(cc.in_c, cc.out_c, ConvAlgo::kDirect, 42);
   Tensor y_ref, y_direct;
-  ref.conv.forward(x, y_ref, true);
-  direct.conv.forward(x, y_direct, true);
+  ref.forward(x, y_ref);
+  direct.forward(x, y_direct);
   expect_close(y_direct, y_ref, 1e-4, "direct forward");
 
   // Backward: same upstream gradient through both paths.
@@ -118,8 +134,8 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   Tensor dx_ref, dx_direct;
-  ref.conv.backward(x, y_ref, dy, dx_ref);
-  direct.conv.backward(x, y_direct, dy, dx_direct);
+  ref.backward(x, y_ref, dy, dx_ref);
+  direct.backward(x, y_direct, dy, dx_direct);
   expect_close(dx_direct, dx_ref, 1e-4, "direct backward dX");
   expect_close_span(direct.grads, ref.grads, 1e-4, "direct dW/db");
 }
@@ -139,19 +155,19 @@ TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
 
   BoundConv serial(17, 10, algo, 5);
   Tensor y_serial, dx_serial;
-  serial.conv.forward(x, y_serial, true);
+  serial.forward(x, y_serial);
   dy = Tensor(y_serial.shape());
   for (std::size_t i = 0; i < dy.numel(); ++i) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
-  serial.conv.backward(x, y_serial, dy, dx_serial);
+  serial.backward(x, y_serial, dy, dx_serial);
 
   for (const std::size_t threads : {2, 4, 7}) {
     ThreadsGuard guard(threads);
     BoundConv par(17, 10, algo, 5);
     Tensor y_par, dx_par;
-    par.conv.forward(x, y_par, true);
-    par.conv.backward(x, y_par, dy, dx_par);
+    par.forward(x, y_par);
+    par.backward(x, y_par, dy, dx_par);
     ASSERT_EQ(y_par.numel(), y_serial.numel());
     ASSERT_EQ(0, std::memcmp(y_par.data(), y_serial.data(),
                              y_serial.numel() * sizeof(float)))
@@ -175,12 +191,12 @@ TEST_P(ConvAlgoDeterminismTest, BackwardParamsMatchesBackward) {
   BoundConv full(3, 16, algo, 11);
   BoundConv params_only(3, 16, algo, 11);
   Tensor y, dx, scratch;
-  full.conv.forward(x, y, true);
+  full.forward(x, y);
   const Tensor dy = random_input(rng, y.dim(0), y.dim(1), y.dim(2), y.dim(3));
   for (int pass = 0; pass < 2; ++pass) {
-    full.conv.backward(x, y, dy, dx);
-    params_only.conv.forward(x, y, true);
-    params_only.conv.backward_params(x, y, dy, scratch);
+    full.backward(x, y, dy, dx);
+    params_only.forward(x, y);
+    params_only.backward_params(x, y, dy, scratch);
     ASSERT_EQ(0, std::memcmp(params_only.grads.data(), full.grads.data(),
                              full.grads.size() * sizeof(float)))
         << conv_algo_name(algo) << " dW/db, pass " << pass;
@@ -262,23 +278,18 @@ TEST(ConvAlgoResolveTest, HeuristicAndFallbacks) {
   EXPECT_EQ(choose_conv_algo(g3, 64), ConvAlgo::kDirect);
   EXPECT_EQ(choose_conv_algo(g3_small, 64), ConvAlgo::kIm2col);
   EXPECT_EQ(choose_conv_algo(g5, 64), ConvAlgo::kIm2col);
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kDirect);
+  EXPECT_EQ(resolve_conv_algo(g3, 64), ConvAlgo::kDirect);
 
-  // An unsupported pin falls back to im2col, from either level.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, g5, 64), ConvAlgo::kIm2col);
   {
     AlgoGuard guard(ConvAlgo::kDirect);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g5, 64), ConvAlgo::kIm2col);
-    // The thread-local knob beats the heuristic …
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3_small, 64),
-              ConvAlgo::kDirect);
+    // An unsupported pin falls back to im2col …
+    EXPECT_EQ(resolve_conv_algo(g5, 64), ConvAlgo::kIm2col);
+    // … and the thread-local knob beats the heuristic.
+    EXPECT_EQ(resolve_conv_algo(g3_small, 64), ConvAlgo::kDirect);
   }
   {
     AlgoGuard guard(ConvAlgo::kIm2col);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kIm2col);
-    // … and the layer's own choice beats the thread-local knob.
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kDirect, g3, 64),
-              ConvAlgo::kDirect);
+    EXPECT_EQ(resolve_conv_algo(g3, 64), ConvAlgo::kIm2col);
   }
 }
 
@@ -296,17 +307,17 @@ TEST(ConvAlgoResolveTest, BackwardAfterAlgoFlipRecomputesColumns) {
 
   // Prime flip's workspaces with a DIFFERENT input via the direct path,
   // then flip to im2col for the real pass.
-  flip.conv.forward(x2, y_flip, true);
-  flip.conv.set_algo(ConvAlgo::kIm2col);
-  flip.conv.forward(x1, y_flip, true);
-  ref.conv.forward(x1, y_ref, true);
+  flip.forward(x2, y_flip);
+  flip.algo = ConvAlgo::kIm2col;
+  flip.forward(x1, y_flip);
+  ref.forward(x1, y_ref);
 
   Tensor dy(y_ref.shape());
   for (std::size_t i = 0; i < dy.numel(); ++i) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
-  flip.conv.backward(x1, y_flip, dy, dx_flip);
-  ref.conv.backward(x1, y_ref, dy, dx_ref);
+  flip.backward(x1, y_flip, dy, dx_flip);
+  ref.backward(x1, y_ref, dy, dx_ref);
   ASSERT_EQ(0, std::memcmp(dx_flip.data(), dx_ref.data(),
                            dx_ref.numel() * sizeof(float)));
   ASSERT_EQ(0, std::memcmp(flip.grads.data(), ref.grads.data(),

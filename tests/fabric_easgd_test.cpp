@@ -6,11 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "core/async_algorithms.hpp"
 #include "core/evaluator.hpp"
 #include "core/fabric_algorithms.hpp"
 #include "core/knl_algorithms.hpp"
 #include "data/dataset.hpp"
 #include "nn/models.hpp"
+#include "simhw/gpu_system.hpp"
 
 namespace ds {
 namespace {
@@ -239,6 +241,40 @@ TEST(FabricProbes, RunsBuildOneNetworkPerRankAndNoneForEvaluation) {
     const RunResult r = run(f.ctx);
     ASSERT_FALSE(r.trace.empty());
     EXPECT_EQ(calls->load(), name == "spmd" ? 3u : 4u);
+  }
+}
+
+TEST(FabricBadInput, EveryRunnerThrowsTheWorkersTypedError) {
+  // A worker whose training input is bad throws a ds::Error that is not a
+  // RankFailure. Its rank must still retire, so the peers blocked on it
+  // unwind and the error reaches the caller instead of a hang; run_async's
+  // workers must hand it over instead of calling std::terminate.
+  Fixture f;
+  f.ctx.config.workers = 2;
+  f.ctx.config.iterations = 8;
+  const Dataset empty;
+  SyntheticSpec spec;
+  spec.classes = 4;
+  spec.channels = 3;  // tiny_mlp takes 1×8×8 samples
+  spec.height = 8;
+  spec.width = 8;
+  spec.train_count = 64;
+  spec.test_count = 16;
+  const TrainTest wrong_shape = make_synthetic(spec);
+  const GpuSystem hw{GpuSystemConfig{}, paper_lenet(), 8.0 * 8.0 * 4.0};
+  auto runners = fabric_runners();
+  runners.emplace_back("run_async", [&hw](const AlgoContext& c) {
+    return run_async(c, hw, AsyncMethod::kAsyncEasgd);
+  });
+  for (const auto& [input, train] :
+       {std::pair{"empty training set", &empty},
+        std::pair{"wrongly shaped samples", &wrong_shape.train}}) {
+    for (const auto& [name, run] : runners) {
+      SCOPED_TRACE(std::string(input) + ", " + name);
+      AlgoContext ctx = f.ctx;
+      ctx.train = train;
+      EXPECT_THROW(run(ctx), Error);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "nn/layers.hpp"
+#include "tensor/gemm.hpp"
 #include "test_util.hpp"
 
 namespace ds {
@@ -30,6 +31,7 @@ struct ContractCase {
   std::string name;
   std::function<LayerPtr()> make;
   Shape input;
+  ConvAlgo algo = ConvAlgo::kAuto;  // the thread knob while the case runs
 };
 
 std::ostream& operator<<(std::ostream& os, const ContractCase& c) {
@@ -46,6 +48,7 @@ Shape with_batch(const Shape& s, std::size_t batch) {
 class LayerContract : public ::testing::TestWithParam<ContractCase> {
  protected:
   void SetUp() override {
+    kernel_config().conv_algo = GetParam().algo;
     layer = GetParam().make();
     params.resize(layer->param_count());
     grads.assign(layer->param_count(), 0.0f);
@@ -58,6 +61,8 @@ class LayerContract : public ::testing::TestWithParam<ContractCase> {
     dy = Tensor(y.shape());
     fill_random(dy, rng);
   }
+
+  void TearDown() override { kernel_config().conv_algo = ConvAlgo::kAuto; }
 
   // Both backward entry points must refuse these arguments.
   void expect_backward_throws(const Tensor& bx, const Tensor& by,
@@ -148,17 +153,11 @@ INSTANTIATE_TEST_SUITE_P(
                      [] { return std::make_unique<Dropout>(0.5, 9); },
                      Shape{2, 8}},
         ContractCase{"conv_im2col",
-                     [] {
-                       return std::make_unique<Conv2D>(3, 4, 3, 1, 1,
-                                                       ConvAlgo::kIm2col);
-                     },
-                     Shape{2, 3, 6, 6}},
+                     [] { return std::make_unique<Conv2D>(3, 4, 3, 1, 1); },
+                     Shape{2, 3, 6, 6}, ConvAlgo::kIm2col},
         ContractCase{"conv_direct",
-                     [] {
-                       return std::make_unique<Conv2D>(3, 4, 3, 1, 1,
-                                                       ConvAlgo::kDirect);
-                     },
-                     Shape{2, 3, 6, 6}},
+                     [] { return std::make_unique<Conv2D>(3, 4, 3, 1, 1); },
+                     Shape{2, 3, 6, 6}, ConvAlgo::kDirect},
         ContractCase{"maxpool",
                      [] { return std::make_unique<MaxPool2D>(2, 2); },
                      Shape{2, 3, 4, 4}},
