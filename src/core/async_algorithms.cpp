@@ -258,8 +258,9 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
     snap.vtime = vtime_monotone;
   }
   ThreadPool pool(worker_threads(nets.size()));
-  res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()), ctx,
-                             snapshots);
+  std::vector<Tensor> inputs(pool.size());
+  res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()),
+                             inputs, ctx, snapshots);
   finish_run(res, vtime_monotone, master.completed.load());
   res.workers = cfg.workers;
   res.workers_survived = cfg.workers - master.crashed.load();

@@ -192,8 +192,9 @@ class FabricRun {
     res.aborted = !res.abort_reason.empty();
     res.final_params = std::move(center);
     ThreadPool pool(worker_threads(ranks));
-    res.trace =
-        probe_on_lanes(&pool, std::span(nets).first(pool.size()), ctx, probes_);
+    std::vector<Tensor> inputs(pool.size());
+    res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()),
+                               inputs, ctx, probes_);
     finish_run(res, fabric.max_clock(),
                res.aborted ? completed_ : cfg.iterations);
     // The measured clock deltas ARE the breakdown, summed in rank order.

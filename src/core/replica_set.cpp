@@ -12,7 +12,8 @@ namespace ds {
 
 std::vector<TracePoint> probe_on_lanes(
     ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
-    const AlgoContext& ctx, std::span<const Snapshot> snapshots) {
+    std::span<Tensor> inputs, const AlgoContext& ctx,
+    std::span<const Snapshot> snapshots) {
   const std::size_t rows = std::min(ctx.config.eval_samples, ctx.test->size());
   const std::size_t chunk = ctx.config.batch_size;
   std::vector<std::size_t> row_ids(rows);
@@ -27,7 +28,7 @@ std::vector<TracePoint> probe_on_lanes(
   const std::size_t chunks = (rows + chunk - 1) / chunk;
   std::vector<Tensor> logits(snapshots.size(),
                              Tensor({rows, lanes[0]->classes()}));
-  run_forwards(pool, lanes, *ctx.test, jobs,
+  run_forwards(pool, lanes, inputs, *ctx.test, jobs,
                [&](std::size_t i, const Tensor& out) {
                  Tensor& to = logits[i / chunks];
                  std::memcpy(to.data() + (i % chunks) * chunk * to.dim(1),
@@ -49,6 +50,7 @@ ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
   DS_CHECK(count > 0, "need at least one worker");
   nets_.reserve(count);
   inputs_.reserve(count);
+  batches_.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     nets_.push_back(ctx.factory());
     if (i > 0) nets_[i]->copy_params_from(*nets_[0]);
@@ -59,23 +61,16 @@ ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
 }
 
 ThreadPool* ReplicaSet::pool() {
-  // A replica's first step grows its buffers (activations, kernel scratch,
-  // batches). Grown concurrently, the allocations interleave in a
-  // nondeterministic order and fragment the heap, so until every replica
-  // has stepped, the replicas run serially.
-  const bool grown = std::all_of(inputs_.begin(), inputs_.end(),
-                                 [](const Input& in) { return in.stepped; });
-  if (!grown || threads_ == 1) return nullptr;
+  if (threads_ == 1) return nullptr;
   if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
   return pool_.get();
 }
 
 void ReplicaSet::compute_gradient(std::size_t j) {
   Input& in = inputs_[j];
-  in.sampler.next(in.batch, in.labels);
+  in.sampler.next(batches_[j], in.labels);
   nets_[j]->zero_grads();
-  nets_[j]->forward_backward(in.batch, in.labels);
-  in.stepped = true;
+  nets_[j]->forward_backward(batches_[j], in.labels);
 }
 
 void ReplicaSet::compute_gradients() {
@@ -91,7 +86,7 @@ TracePoint ReplicaSet::probe(Snapshot snapshot) {
   });
   if (snapshot.weights.empty()) snapshot.weights = inputs_[0].stash;
   const TracePoint point =
-      probe_on_lanes(workers, nets_, ctx_, {&snapshot, 1})[0];
+      probe_on_lanes(workers, nets_, batches_, ctx_, {&snapshot, 1})[0];
   worker_parallel_for(workers, size(), [this](std::size_t j) {
     nets_[j]->arena().load_params(inputs_[j].stash);
   });

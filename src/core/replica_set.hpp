@@ -29,14 +29,15 @@ struct Snapshot {
 };
 
 /// The trace point of each snapshot, on the first min(eval_samples, test
-/// size) test rows: chunks of batch_size rows run_forwards on `lanes`
-/// (nn/forward_lanes.hpp) and each snapshot's logits reduced by
-/// reduce_logits. Batched inference equals smaller batches bit for bit, so
-/// a point equals a serial probe's of the same rows (core/evaluator.hpp).
-/// Overwrites the lanes' weights.
+/// size) test rows: chunks of batch_size rows run_forwards on `lanes`, with
+/// `inputs` one input tensor per lane (nn/forward_lanes.hpp), and each
+/// snapshot's logits reduced by reduce_logits. Batched inference equals
+/// smaller batches bit for bit, so a point equals a serial probe's of the
+/// same rows (core/evaluator.hpp). Overwrites the lanes' weights and inputs.
 std::vector<TracePoint> probe_on_lanes(
     ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
-    const AlgoContext& ctx, std::span<const Snapshot> snapshots);
+    std::span<Tensor> inputs, const AlgoContext& ctx,
+    std::span<const Snapshot> snapshots);
 
 class ReplicaSet {
  public:
@@ -50,22 +51,21 @@ class ReplicaSet {
   const std::vector<std::unique_ptr<Network>>& nets() const { return nets_; }
 
   /// Step (1) of a synchronous round: every replica samples its batch,
-  /// zeroes its gradients and runs forward+backward. Until every replica
-  /// has taken a step, the replicas run one after another on the calling
-  /// thread; after that, concurrently on a pool of min(replicas, hardware
-  /// threads) threads (DESIGN.md §7). Replicas share no state, so either
-  /// way every replica ends bitwise where the serial loop leaves it. A
-  /// task's exception is rethrown here once every replica has finished.
+  /// zeroes its gradients and runs forward+backward, concurrently on a pool
+  /// of min(replicas, hardware threads) threads, from the first round on
+  /// (DESIGN.md §7). Replicas share no state, so every replica ends bitwise
+  /// where the serial loop leaves it. A task's exception is rethrown here
+  /// once every replica has finished.
   void compute_gradients();
 
   /// The same step for replica j alone, on the calling thread.
   void compute_gradient(std::size_t j);
 
   /// The trace point of `snapshot`, or of replica 0's own weights when its
-  /// weights are empty, probed on the replicas by probe_on_lanes. Each
-  /// replica stashes its own weights first and gets them back bit for bit.
-  /// The replicas run serially or on the pool by the rule of
-  /// compute_gradients.
+  /// weights are empty, probed on the replicas by probe_on_lanes on the
+  /// compute_gradients pool, each replica's training batch its lane input.
+  /// Each replica stashes its own weights first and gets them back bit for
+  /// bit; the next step samples a fresh batch anyway.
   TracePoint probe(Snapshot snapshot);
 
  private:
@@ -73,19 +73,17 @@ class ReplicaSet {
     explicit Input(BatchSampler s) : sampler(std::move(s)) {}
 
     BatchSampler sampler;
-    Tensor batch;
     std::vector<std::int32_t> labels;
     std::vector<float> stash;  // own weights while probing others
-    bool stepped = false;      // took a gradient step: buffers grown
   };
 
-  /// The pool once every replica has stepped; null (serial on the caller)
-  /// before that or with one thread.
+  /// The pool; null (serial on the caller) with one thread.
   ThreadPool* pool();
 
   const AlgoContext& ctx_;
   std::vector<std::unique_ptr<Network>> nets_;
   std::vector<Input> inputs_;
+  std::vector<Tensor> batches_;  // replica j's training batch
   std::size_t threads_;
   std::unique_ptr<ThreadPool> pool_;  // built on the first concurrent call
 };

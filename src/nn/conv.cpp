@@ -114,7 +114,8 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y) {
   const std::size_t cols = g.col_cols();
   const std::size_t bc = batch * cols;
   col_ws_.ensure(rows * bc);
-  out_ws_.ensure(out_c_ * bc);
+  AlignedBuffer& out_ws = scratch().kernel;  // [out_c × batch·cols]
+  out_ws.ensure(out_c_ * bc);
 
   const float* weights = params_.data();  // out_c × rows
   const float* bias = params_.data() + out_c_ * rows;
@@ -132,18 +133,18 @@ void Conv2D::forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y) {
   GemmEpilogue ep;
   ep.row_bias = bias;
   gemm(Transpose::kNo, Transpose::kNo, out_c_, bc, rows, 1.0f, weights, rows,
-       col_ws_.data(), bc, 0.0f, out_ws_.data(), bc, ep);
+       col_ws_.data(), bc, 0.0f, out_ws.data(), bc, ep);
   // Un-batch [out_c × batch·cols] into the NCHW output.
   for (std::size_t n = 0; n < batch; ++n) {
     float* yn = y.data() + n * out_plane;
     for (std::size_t f = 0; f < out_c_; ++f) {
-      std::memcpy(yn + f * cols, out_ws_.data() + f * bc + n * cols,
+      std::memcpy(yn + f * cols, out_ws.data() + f * bc + n * cols,
                   cols * sizeof(float));
     }
   }
 }
 
-// Inference forward, one image at a time: the workspaces hold one image's
+// Inference forward, one image at a time: the scratch holds one image's
 // column matrix or blocked layout instead of the whole batch's, and the
 // GEMM writes each image's NCHW output directly. A 1×1, stride-1,
 // unpadded conv needs no lowering at all: the image's plane already is its
@@ -160,11 +161,8 @@ void Conv2D::forward_images(const ConvGeom& g, ConvAlgo algo, const Tensor& x,
   const bool direct = algo == ConvAlgo::kDirect;
   const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
   const BlockedLayout bl = BlockedLayout::for_conv(g);
-  if (direct) {
-    scratch().ensure(bl.image_floats());
-  } else if (!pointwise) {
-    col_ws_.ensure(rows * cols);
-  }
+  AlignedBuffer& ws = scratch().kernel;
+  ws.ensure(direct ? bl.image_floats() : pointwise ? 0 : rows * cols);
   col_valid_ = false;
   GemmEpilogue ep;
   ep.row_bias = bias;
@@ -172,15 +170,14 @@ void Conv2D::forward_images(const ConvGeom& g, ConvAlgo algo, const Tensor& x,
     const float* xn = x.data() + n * in_plane;
     float* yn = y.data() + n * out_plane;
     if (direct) {
-      nchw_to_blocked(bl, 1, xn, scratch().data());
-      direct_conv3x3_forward(bl, 1, out_c_, scratch().data(), weights, bias,
-                             yn);
+      nchw_to_blocked(bl, 1, xn, ws.data());
+      direct_conv3x3_forward(bl, 1, out_c_, ws.data(), weights, bias, yn);
       continue;
     }
     const float* col = xn;
     if (!pointwise) {
-      im2col(g, xn, col_ws_.data(), cols);
-      col = col_ws_.data();
+      im2col(g, xn, ws.data(), cols);
+      col = ws.data();
     }
     gemm(Transpose::kNo, Transpose::kNo, out_c_, cols, rows, 1.0f, weights,
          rows, col, cols, 0.0f, yn, cols, ep);
@@ -195,7 +192,7 @@ void Conv2D::forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y) {
   const float* weights = params_.data();
   const float* bias = params_.data() + out_c_ * in_c_ * 9;
 
-  AlignedBuffer& ws = scratch();
+  AlignedBuffer& ws = scratch().kernel;
   ws.ensure(ximg);
   nchw_to_blocked(bl, batch, x.data(), ws.data());
   direct_conv3x3_forward(bl, batch, out_c_, ws.data(), weights, bias,
@@ -242,7 +239,7 @@ void Conv2D::backward_direct(const ConvGeom& g, const Tensor& x,
   float* dweights = grads_.data();
   float* dbias = grads_.data() + wfloats;
 
-  AlignedBuffer& ws = scratch();
+  AlignedBuffer& ws = scratch().kernel;
   ws.ensure(ximg + dyimg + (dx ? wfloats : 0));
   float* xb = ws.data();
   float* dyb = ws.data() + ximg;
@@ -266,7 +263,12 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
   const std::size_t cols = g.col_cols();
   const std::size_t bc = batch * cols;
   col_ws_.ensure(rows * bc);
-  out_ws_.ensure(out_c_ * bc);
+  // Scratch: the batched dY [out_c × batch·cols], then, for dX, the column
+  // gradient [rows × batch·cols].
+  AlignedBuffer& ws = scratch().kernel;
+  ws.ensure((out_c_ + (dx ? rows : 0)) * bc);
+  float* dyb = ws.data();
+  float* dcol = ws.data() + out_c_ * bc;
 
   const float* weights = params_.data();
   float* dweights = grads_.data();  // out_c × rows
@@ -286,24 +288,23 @@ void Conv2D::backward_lowered(const ConvGeom& g, const Tensor& x,
     // Batched layout of dY, mirroring the forward lowering.
     const float* dyn = dy.data() + n * out_plane;
     for (std::size_t f = 0; f < out_c_; ++f) {
-      std::memcpy(out_ws_.data() + f * bc + n * cols, dyn + f * cols,
+      std::memcpy(dyb + f * bc + n * cols, dyn + f * cols,
                   cols * sizeof(float));
     }
   }
   col_valid_ = true;
   // dW += dY_b · col_bᵀ : [out_c × batch·cols] · [batch·cols × rows].
-  gemm(Transpose::kNo, Transpose::kYes, out_c_, rows, bc, 1.0f,
-       out_ws_.data(), bc, col_ws_.data(), bc, 1.0f, dweights, rows);
+  gemm(Transpose::kNo, Transpose::kYes, out_c_, rows, bc, 1.0f, dyb, bc,
+       col_ws_.data(), bc, 1.0f, dweights, rows);
   // db += row sums of batched dY.
-  add_row_sums(out_ws_.data(), out_c_, bc, dbias);
+  add_row_sums(dyb, out_c_, bc, dbias);
   if (!dx) return;
   // dcol_b = Wᵀ · dY_b : [rows × out_c] · [out_c × batch·cols].
-  dcol_ws_.ensure(rows * bc);
   gemm(Transpose::kYes, Transpose::kNo, rows, bc, out_c_, 1.0f, weights, rows,
-       out_ws_.data(), bc, 0.0f, dcol_ws_.data(), bc);
+       dyb, bc, 0.0f, dcol, bc);
   dx->zero();
   for (std::size_t n = 0; n < batch; ++n) {
-    col2im(g, dcol_ws_.data() + n * cols, bc, dx->data() + n * in_plane);
+    col2im(g, dcol + n * cols, bc, dx->data() + n * in_plane);
   }
 }
 

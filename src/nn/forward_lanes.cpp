@@ -6,6 +6,7 @@
 
 #include "data/sampler.hpp"
 #include "obs/trace.hpp"
+#include "support/error.hpp"
 #include "tensor/gemm.hpp"
 
 namespace ds {
@@ -33,24 +34,26 @@ void worker_parallel_for(ThreadPool* pool, std::size_t n,
 
 void run_forwards(
     ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
-    const Dataset& data, std::span<const ForwardJob> jobs,
+    std::span<Tensor> inputs, const Dataset& data,
+    std::span<const ForwardJob> jobs,
     const std::function<void(std::size_t job, const Tensor& logits)>& sink) {
+  const std::size_t used = std::min(lanes.size(), jobs.size());
+  DS_CHECK(inputs.size() >= used,
+           inputs.size() << " lane inputs for " << used << " lanes");
   std::atomic<std::size_t> cursor{0};
-  worker_parallel_for(
-      pool, std::min(lanes.size(), jobs.size()), [&](std::size_t l) {
-        Network& net = *lanes[l];
-        Tensor input;
-        const float* loaded = nullptr;
-        for (std::size_t i = cursor++; i < jobs.size(); i = cursor++) {
-          const ForwardJob& job = jobs[i];
-          if (job.weights.data() != loaded) {
-            net.arena().load_params(job.weights);
-            loaded = job.weights.data();
-          }
-          gather_images(data, job.rows, input);
-          sink(i, net.infer(input));
-        }
-      });
+  worker_parallel_for(pool, used, [&](std::size_t l) {
+    Network& net = *lanes[l];
+    const float* loaded = nullptr;
+    for (std::size_t i = cursor++; i < jobs.size(); i = cursor++) {
+      const ForwardJob& job = jobs[i];
+      if (job.weights.data() != loaded) {
+        net.arena().load_params(job.weights);
+        loaded = job.weights.data();
+      }
+      gather_images(data, job.rows, inputs[l]);
+      sink(i, net.infer(inputs[l]));
+    }
+  });
 }
 
 }  // namespace ds

@@ -30,14 +30,17 @@ struct ForwardJob {
 };
 
 /// Runs `jobs` on min(lanes, jobs) lanes, idle networks, through
-/// worker_parallel_for. A lane takes jobs from one atomic cursor, loads a
-/// job's weights only when they differ from the ones it loaded last, and
-/// hands the logits (rows × classes) to sink(job, logits). Batched
-/// inference equals smaller batches bit for bit, so no logit depends on
-/// the lane. Overwrites the lanes' weights.
+/// worker_parallel_for. Lane l gathers each job's rows into inputs[l], which
+/// the caller owns (one per lane), so it is grown once, not per call. A
+/// lane takes jobs from one atomic cursor, loads a job's weights only when
+/// they differ from the ones it loaded last, and hands the logits
+/// (rows × classes) to sink(job, logits). Batched inference equals smaller
+/// batches bit for bit, so no logit depends on the lane. Overwrites the
+/// lanes' weights and inputs.
 void run_forwards(
     ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
-    const Dataset& data, std::span<const ForwardJob> jobs,
+    std::span<Tensor> inputs, const Dataset& data,
+    std::span<const ForwardJob> jobs,
     const std::function<void(std::size_t job, const Tensor& logits)>& sink);
 
 }  // namespace ds

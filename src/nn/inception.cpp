@@ -73,8 +73,10 @@ void InceptionBlock::bind(std::span<float> params, std::span<float> grads) {
   }
 }
 
-void InceptionBlock::bind_scratch(AlignedBuffer& scratch) {
-  // Branches run sequentially, so every inner conv can share one buffer.
+void InceptionBlock::bind_scratch(LayerScratch& scratch) {
+  Layer::bind_scratch(scratch);
+  // The stages use only the kernel buffer, which each call partitions
+  // afresh.
   for (auto& b : branches_) {
     for (auto& stage : b.stages) stage->bind_scratch(scratch);
   }
@@ -90,14 +92,15 @@ void InceptionBlock::forward_impl(const Tensor& x, Tensor& y, bool train) {
   const std::size_t batch = x.dim(0);
   const std::size_t hw = y.dim(2) * y.dim(3);
   const std::size_t out_c = y.dim(1);
+  Tensor* infer_bufs = scratch().inner;
   std::size_t c_offset = 0;
   for (Branch& b : branches_) {
     // Training keeps every stage's output for backward; inference runs the
-    // stages through the block's two buffers.
+    // stages through two scratch tensors.
     if (train) b.acts.resize(b.stages.size());
     const Tensor* in = &x;
     for (std::size_t s = 0; s < b.stages.size(); ++s) {
-      Tensor& stage_out = train ? b.acts[s] : infer_bufs_[s % 2];
+      Tensor& stage_out = train ? b.acts[s] : infer_bufs[s % 2];
       b.stages[s]->forward(*in, stage_out, train);
       in = &stage_out;
     }
@@ -117,24 +120,26 @@ void InceptionBlock::backward_impl(const Tensor& x, const Tensor& /*y*/,
   const std::size_t batch = x.dim(0);
   const std::size_t hw = dy.dim(2) * dy.dim(3);
   const std::size_t out_c = dy.dim(1);
+  // The branch's dy slice, then the stage gradients, alternating.
+  Tensor* bufs = scratch().inner;
 
   std::size_t c_offset = 0;
   for (auto& b : branches_) {
     const std::size_t bc = b.acts.back().dim(1);
     // Slice dy channels belonging to this branch.
-    branch_dy_.resize(b.acts.back().shape());
+    bufs[0].resize(b.acts.back().shape());
     for (std::size_t n = 0; n < batch; ++n) {
-      std::memcpy(branch_dy_.data() + n * bc * hw,
+      std::memcpy(bufs[0].data() + n * bc * hw,
                   dy.data() + (n * out_c + c_offset) * hw,
                   bc * hw * sizeof(float));
     }
     // Back-propagate through the branch stages.
-    Tensor* grad = &branch_dy_;
+    const Tensor* grad = &bufs[0];
     for (std::size_t s = b.stages.size(); s-- > 0;) {
       const Tensor& stage_in = (s == 0) ? x : b.acts[s - 1];
-      b.stages[s]->backward(stage_in, b.acts[s], *grad, stage_dx_);
-      std::swap(stage_dx_, next_grad_);
-      grad = &next_grad_;
+      Tensor& stage_dx = bufs[grad == &bufs[1] ? 2 : 1];
+      b.stages[s]->backward(stage_in, b.acts[s], *grad, stage_dx);
+      grad = &stage_dx;
     }
     // Sum branch input-gradients.
     const float* g = grad->data();
@@ -155,6 +160,13 @@ double InceptionBlock::flops_per_sample(const Shape& input) const {
     }
   }
   return total;
+}
+
+void InceptionBlock::footprint(Footprint& f) const {
+  for (const Branch& b : branches_) {
+    for (const auto& stage : b.stages) stage->footprint(f);
+    for (const Tensor& t : b.acts) f.activations += Footprint::bytes(t);
+  }
 }
 
 }  // namespace ds

@@ -10,6 +10,14 @@ double Layer::sample_numel(const Shape& shape) {
   return n;
 }
 
+LayerScratch& Layer::scratch() {
+  if (scratch_ == nullptr) {
+    own_scratch_ = std::make_unique<LayerScratch>();
+    scratch_ = own_scratch_.get();
+  }
+  return *scratch_;
+}
+
 void Layer::forward(const Tensor& x, Tensor& y, bool train) {
   trained_ = false;
   // Shape construction heap-allocates; memoize so the steady-state hot loop

@@ -15,13 +15,50 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "support/rng.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ds {
 
-class AlignedBuffer;
+/// Heap bytes a network holds, by class (Network::footprint). Every figure
+/// is a buffer's capacity, what the allocator handed out, so it is exact
+/// without malloc hooks.
+struct Footprint {
+  std::size_t params = 0;       // weights, gradients, LRN's powf memo
+  std::size_t activations = 0;  // forward outputs, composite stages' too
+  std::size_t input_grads = 0;  // dL/dx handed between layers, dL/dlogits
+  /// State only backward reads, kept by a training forward: Conv's column
+  /// matrix, LRN's scale, MaxPool's argmax, Dropout's mask.
+  std::size_t backward_state = 0;
+  std::size_t scratch = 0;  // the network's LayerScratch
+  std::size_t total() const {
+    return params + activations + input_grads + backward_state + scratch;
+  }
+
+  static std::size_t bytes(const AlignedBuffer& b) {
+    return b.capacity() * sizeof(float);
+  }
+  static std::size_t bytes(const Tensor& t) {
+    return t.capacity() * sizeof(float);
+  }
+  template <class T>
+  static std::size_t bytes(const std::vector<T>& v) {
+    return v.capacity() * sizeof(T);
+  }
+};
+
+/// Scratch one network's layers share. Nothing in it outlives one layer
+/// call, and every call sizes and partitions it afresh, so no layer reads
+/// what another left behind.
+struct LayerScratch {
+  AlignedBuffer kernel;  // conv and LRN kernel workspaces
+  /// A composite block's inner tensors (inference stage outputs, inner
+  /// input gradients). Its inner layers use only `kernel`, so blocks must
+  /// not nest.
+  Tensor inner[3];
+};
 
 class Layer {
  public:
@@ -46,14 +83,11 @@ class Layer {
     grads_ = grads;
   }
 
-  /// Attach an arena-owned, grow-only kernel scratch buffer (blocked
-  /// activation layouts, rotated weights). Called by Network::finalize
-  /// after bind(); layers that need scratch but were never offered any
-  /// (standalone use, tests) fall back to a private buffer. Composite
-  /// layers forward the same buffer to their inner layers — each conv call
-  /// partitions it afresh, so sharing is safe as long as no single
-  /// forward()/backward() call is re-entered.
-  virtual void bind_scratch(AlignedBuffer& /*scratch*/) {}
+  /// Attach the network's scratch (ParamArena::scratch), which every layer
+  /// shares. Called by Network::finalize after bind(); a layer never
+  /// offered one (standalone use, tests) makes a private one on first use.
+  /// Composite layers forward it to their inner layers.
+  virtual void bind_scratch(LayerScratch& scratch) { scratch_ = &scratch; }
 
   /// Initialise bound parameters (Xavier for weights, zero for biases).
   virtual void init_params(Rng& /*rng*/) {}
@@ -84,9 +118,16 @@ class Layer {
   /// virtual-time compute model.
   virtual double flops_per_sample(const Shape& input) const = 0;
 
+  /// Adds the buffers the layer itself holds to `f`; bound parameters and
+  /// the network's scratch are the Network's to count.
+  virtual void footprint(Footprint& /*f*/) const {}
+
  protected:
   /// Elements in one sample of `shape` (every dim but the batch).
   static double sample_numel(const Shape& shape);
+
+  /// The bound scratch, or the layer's private one.
+  LayerScratch& scratch();
 
   std::span<float> params_;
   std::span<float> grads_;
@@ -106,6 +147,8 @@ class Layer {
   void check_backward(const Tensor& x, const Tensor& y,
                       const Tensor& dy) const;
 
+  LayerScratch* scratch_ = nullptr;
+  std::unique_ptr<LayerScratch> own_scratch_;  // when none was bound
   Shape in_shape_;        // input shape of the last forward
   Shape out_shape_;       // output_shape(in_shape_)
   bool trained_ = false;  // the last forward completed with train == true

@@ -78,6 +78,9 @@ class Dropout final : public Layer {
   std::string name() const override;
   Shape output_shape(const Shape& input) const override { return input; }
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override {
+    f.backward_state += Footprint::bytes(mask_);
+  }
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
@@ -108,8 +111,10 @@ class Conv2D final : public Layer {
   Shape output_shape(const Shape& input) const override;
   std::size_t param_count() const override;
   void init_params(Rng& rng) override;
-  void bind_scratch(AlignedBuffer& scratch) override { scratch_ = &scratch; }
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override {
+    f.backward_state += Footprint::bytes(col_ws_);
+  }
 
   std::size_t in_channels() const { return in_c_; }
   std::size_t out_channels() const { return out_c_; }
@@ -126,7 +131,6 @@ class Conv2D final : public Layer {
                             const Tensor& dy, Tensor& scratch) override;
 
   ConvGeom geom_for(const Shape& input) const;
-  AlignedBuffer& scratch() { return scratch_ ? *scratch_ : own_scratch_; }
 
   void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y);
   void forward_images(const ConvGeom& g, ConvAlgo algo, const Tensor& x,
@@ -144,22 +148,16 @@ class Conv2D final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t pad_;
-  // Grow-only scratch workspaces (see AlignedBuffer::ensure): the whole
-  // batch is lowered into one [rows × batch·cols] column matrix so forward
-  // and backward each run a single batched GEMM per layer instead of one
-  // per image, and alternating train/eval batch sizes stop reallocating.
-  AlignedBuffer col_ws_;   // batched im2col columns
-  AlignedBuffer out_ws_;   // batched GEMM output / re-batched dY
-  AlignedBuffer dcol_ws_;  // backward column gradient
+  // The training forward's batched im2col column matrix [rows × batch·cols]
+  // (grow-only), which backward reuses for the dW GEMM when col_valid_.
+  // Every other workspace (GEMM output, re-batched dY, column gradient,
+  // blocked layouts, rotated weights, an inference image's columns) comes
+  // from the network's scratch, partitioned per call.
+  AlignedBuffer col_ws_;
   // col_ws_ holds the lowering of the last forward's input — lets backward
   // skip re-running im2col (its x is that forward's x). Cleared whenever a
   // forward runs a non-lowering kernel.
   bool col_valid_ = false;
-  // Arena-owned kernel scratch for the blocked/rotated-weight buffers
-  // (falls back to a private buffer when the layer is used outside a
-  // finalized Network).
-  AlignedBuffer* scratch_ = nullptr;
-  AlignedBuffer own_scratch_;
 };
 
 /// Max pooling over k×k windows; optional zero-area padding (padded taps are
@@ -170,6 +168,9 @@ class MaxPool2D final : public Layer {
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override {
+    f.backward_state += Footprint::bytes(argmax_);
+  }
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
@@ -209,6 +210,10 @@ class LocalResponseNorm final : public Layer {
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override {
+    f.params += Footprint::bytes(memo_);
+    f.backward_state += Footprint::bytes(scale_);
+  }
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
@@ -227,7 +232,6 @@ class LocalResponseNorm final : public Layer {
   double beta_;
   double k_;
   std::vector<float> scale_;  // s^{−β} per element, from a training forward
-  std::vector<float> work_;   // backward scratch: one sample's s, then dy·y/s
   std::vector<PowSlot> memo_;  // direct-mapped on the low bits of s
 };
 
@@ -267,9 +271,10 @@ class ResidualBlock final : public Layer {
   Shape output_shape(const Shape& input) const override;
   std::size_t param_count() const override;
   void bind(std::span<float> params, std::span<float> grads) override;
-  void bind_scratch(AlignedBuffer& scratch) override;
+  void bind_scratch(LayerScratch& scratch) override;
   void init_params(Rng& rng) override;
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override;
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
@@ -283,11 +288,10 @@ class ResidualBlock final : public Layer {
   ReLU relu1_;
   Conv2D conv2_;
   std::unique_ptr<Conv2D> projection_;  // null for identity shortcuts
-  // Forward activations needed by backward.
+  // Forward activations needed by backward. Backward's inner gradients
+  // live in the network's scratch.
   Tensor act1_, act2_, act3_, shortcut_;
   Tensor pre_relu_;
-  // Backward scratch.
-  Tensor d_pre_, d_act2_, d_act1_, d_branch_, d_short_;
 };
 
 /// GoogLeNet-style inception block: four parallel branches
@@ -304,9 +308,10 @@ class InceptionBlock final : public Layer {
   Shape output_shape(const Shape& input) const override;
   std::size_t param_count() const override;
   void bind(std::span<float> params, std::span<float> grads) override;
-  void bind_scratch(AlignedBuffer& scratch) override;
+  void bind_scratch(LayerScratch& scratch) override;
   void init_params(Rng& rng) override;
   double flops_per_sample(const Shape& input) const override;
+  void footprint(Footprint& f) const override;
 
   std::size_t out_channels() const;
 
@@ -322,13 +327,9 @@ class InceptionBlock final : public Layer {
 
   std::size_t in_c_;
   std::size_t out_1x1_, out_3x3_, out_5x5_, out_pool_;
+  // Inference stage outputs and backward's branch dy slice and stage
+  // gradients live in the network's scratch.
   std::vector<Branch> branches_;
-  Tensor infer_bufs_[2];  // inference stage outputs, alternating
-  // Backward scratch, grow-only: one branch's dy slice and the stage
-  // gradients, alternating.
-  Tensor branch_dy_;
-  Tensor stage_dx_;
-  Tensor next_grad_;
 };
 
 }  // namespace ds

@@ -115,8 +115,9 @@ void LocalResponseNorm::backward_impl(const Tensor& x, const Tensor& y,
   const float coeff = static_cast<float>(alpha_ / static_cast<double>(size_));
   const float k = static_cast<float>(k_);
   const float b = static_cast<float>(beta_);
-  work_.resize(channels * hw);
-  float* t = work_.data();
+  AlignedBuffer& ws = scratch().kernel;  // one sample's s, then dy·y/s
+  ws.ensure(channels * hw);
+  float* t = ws.data();
 
   // dL/dx[c] = dy[c]·s[c]^{-β} − 2·(α/n)·β·x[c]·Σ_{c'∋c} dy[c']·y[c']/s[c']
   for (std::size_t n = 0; n < batch; ++n) {

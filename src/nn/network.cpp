@@ -62,7 +62,7 @@ void Network::finalize(Rng& rng) {
   layer_flops_.resize(layers_.size());
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->bind(arena_.layer_params(i), arena_.layer_grads(i));
-    layers_[i]->bind_scratch(arena_.layer_scratch(i));
+    layers_[i]->bind_scratch(arena_.scratch());
     layer_flops_[i] = layers_[i]->flops_per_sample(s);
     flops_per_sample_ += layer_flops_[i];
     s = layers_[i]->output_shape(s);
@@ -73,7 +73,6 @@ void Network::finalize(Rng& rng) {
 
   for (auto& l : layers_) l->init_params(rng);
   acts_.resize(layers_.size());
-  grads_cache_.resize(layers_.size());
   finalized_ = true;
 }
 
@@ -116,22 +115,25 @@ LossResult Network::forward_backward(const Tensor& batch,
                                      std::span<const std::int32_t> labels,
                                      const LayerReadyHook& on_layer_retired) {
   const Tensor& logits = forward(batch, /*train=*/true);
-  const LossResult result = loss_.forward_backward(logits, labels, dlogits_);
+  // Layer i's dx is dead once layer i - 1 has read it, so the input
+  // gradients alternate between two buffers.
+  const LossResult result = loss_.forward_backward(
+      logits, labels, grads_cache_[layers_.size() % 2]);
 
-  const Tensor* grad = &dlogits_;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     const Tensor& in = (i == 0) ? batch : acts_[i - 1];
+    const Tensor& dy = grads_cache_[(i + 1) % 2];
+    Tensor& dx = grads_cache_[i % 2];
     {
       const obs::SpanGuard span("layer", bwd_trace_name(i));
       // Nobody reads dL/d(batch): layer 0 accumulates its parameter
       // gradients only.
       if (i == 0) {
-        layers_[i]->backward_params(in, acts_[i], *grad, grads_cache_[i]);
+        layers_[i]->backward_params(in, acts_[i], dy, dx);
       } else {
-        layers_[i]->backward(in, acts_[i], *grad, grads_cache_[i]);
+        layers_[i]->backward(in, acts_[i], dy, dx);
       }
     }
-    grad = &grads_cache_[i];
     // Layer i has retired: its arena gradient is final. The hook runs
     // OUTSIDE the layer span so its own narration (sends, clock advances)
     // is not attributed to the layer's math.
@@ -144,6 +146,15 @@ LossResult Network::evaluate_batch(const Tensor& batch,
                                    std::span<const std::int32_t> labels) {
   const Tensor& logits = forward(batch, /*train=*/false);
   return loss_.evaluate(logits, labels);
+}
+
+Footprint Network::footprint() const {
+  Footprint f;
+  arena_.footprint(f);
+  for (const auto& l : layers_) l->footprint(f);
+  for (const Tensor& t : acts_) f.activations += Footprint::bytes(t);
+  for (const Tensor& t : grads_cache_) f.input_grads += Footprint::bytes(t);
+  return f;
 }
 
 std::vector<std::size_t> Network::comm_chunk_sizes() const {

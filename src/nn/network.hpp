@@ -104,6 +104,10 @@ class Network {
   /// schedule uses to apportion the backward pass across layer retires.
   const std::vector<double>& layer_flops() const { return layer_flops_; }
 
+  /// Heap bytes the network holds now, by class (nn/layer.hpp). Buffers
+  /// grow on first use, so this reads what the calls so far have grown.
+  Footprint footprint() const;
+
   /// Multi-line architecture summary.
   std::string summary() const;
 
@@ -120,10 +124,13 @@ class Network {
   double flops_per_sample_ = 0.0;
   std::vector<double> layer_flops_;
 
-  // Activation/gradient caches reused across iterations.
+  // Activations reused across iterations: one per layer in training, two
+  // alternating in inference.
   std::vector<Tensor> acts_;
-  std::vector<Tensor> grads_cache_;
-  Tensor dlogits_;
+  // Input gradients, alternating: layer i reads its dy from
+  // grads_cache_[(i + 1) % 2] and writes its dx into grads_cache_[i % 2];
+  // the loss writes dL/dlogits into grads_cache_[layers % 2].
+  Tensor grads_cache_[2];
 
   // Interned per-layer span names ("fwd conv3x3", "bwd conv3x3"), built
   // lazily the first time a traced pass runs so untraced runs never pay the

@@ -59,7 +59,6 @@ void blocked_to_nchw(const BlockedLayout& layout, std::size_t batch,
 ParamArena::ParamArena(const std::vector<std::size_t>& layer_sizes,
                        PackMode mode)
     : mode_(mode), sizes_(layer_sizes) {
-  scratch_.resize(sizes_.size());
   offsets_.reserve(sizes_.size());
   for (const std::size_t s : sizes_) {
     offsets_.push_back(total_);
@@ -123,17 +122,22 @@ std::span<const float> ParamArena::full_grads() const {
   return const_cast<ParamArena*>(this)->full_grads();
 }
 
-AlignedBuffer& ParamArena::layer_scratch(std::size_t layer) {
-  DS_CHECK(layer < scratch_.size(), "layer " << layer << " out of range");
-  return scratch_[layer];
-}
-
 void ParamArena::zero_grads() {
   if (mode_ == PackMode::kPacked) {
     packed_grads_.fill(0.0f);
   } else {
     for (auto& g : per_layer_grads_) g.fill(0.0f);
   }
+}
+
+void ParamArena::footprint(Footprint& f) const {
+  f.params += Footprint::bytes(packed_params_);
+  f.params += Footprint::bytes(packed_grads_);
+  for (const auto* buffers : {&per_layer_params_, &per_layer_grads_}) {
+    for (const AlignedBuffer& b : *buffers) f.params += Footprint::bytes(b);
+  }
+  f.scratch += Footprint::bytes(scratch_.kernel);
+  for (const Tensor& t : scratch_.inner) f.scratch += Footprint::bytes(t);
 }
 
 void ParamArena::copy_params_from(const ParamArena& other) {

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "nn/layer.hpp"
 #include "support/aligned_buffer.hpp"
 #include "tensor/direct_conv.hpp"
 
@@ -71,15 +72,20 @@ class ParamArena {
   std::span<const float> full_params() const;
   std::span<const float> full_grads() const;
 
-  /// Grow-only per-layer kernel scratch (blocked activations, rotated
-  /// weights). Deliberately OUTSIDE the packed params/grads allocations:
-  /// scratch is never communicated, so it must not dilute the
-  /// single-message contiguity contract. Buffers start
-  /// empty and grow on first use (AlignedBuffer::ensure).
-  AlignedBuffer& layer_scratch(std::size_t layer);
+  /// The network's scratch, which every layer shares (Layer::bind_scratch):
+  /// blocked activations, rotated weights, GEMM workspaces, composite
+  /// blocks' inner tensors. Deliberately OUTSIDE the packed params/grads
+  /// allocations: scratch is never communicated, so it must not dilute
+  /// the single-message contiguity contract. Its buffers start empty and
+  /// grow on first use (AlignedBuffer::ensure).
+  LayerScratch& scratch() { return scratch_; }
 
   /// Zero every gradient.
   void zero_grads();
+
+  /// Adds the weights and gradients to f.params and the kernel scratch to
+  /// f.scratch.
+  void footprint(Footprint& f) const;
 
   /// Copy all parameter values from another arena of identical geometry
   /// (works across pack modes).
@@ -100,7 +106,7 @@ class ParamArena {
   AlignedBuffer packed_grads_;
   std::vector<AlignedBuffer> per_layer_params_;
   std::vector<AlignedBuffer> per_layer_grads_;
-  std::vector<AlignedBuffer> scratch_;  // per-layer kernel scratch
+  LayerScratch scratch_;
 };
 
 }  // namespace ds

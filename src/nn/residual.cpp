@@ -47,9 +47,10 @@ void ResidualBlock::bind(std::span<float> params, std::span<float> grads) {
   if (projection_) slice(*projection_);
 }
 
-void ResidualBlock::bind_scratch(AlignedBuffer& scratch) {
-  // One shared buffer: each conv call partitions it afresh, and no two
-  // inner convs are ever mid-call simultaneously.
+void ResidualBlock::bind_scratch(LayerScratch& scratch) {
+  Layer::bind_scratch(scratch);
+  // The inner convs use only the kernel buffer: each call partitions it
+  // afresh, and no two of them are ever mid-call at once.
   conv1_.bind_scratch(scratch);
   conv2_.bind_scratch(scratch);
   if (projection_) projection_->bind_scratch(scratch);
@@ -85,21 +86,24 @@ void ResidualBlock::forward_impl(const Tensor& x, Tensor& y, bool train) {
 void ResidualBlock::backward_impl(const Tensor& x, const Tensor& /*y*/,
                                   const Tensor& dy, Tensor& dx) {
   // Through the output ReLU.
-  d_pre_.resize(dy.shape());
+  Tensor* g = scratch().inner;
+  Tensor& d_pre = g[0];
+  d_pre.resize(dy.shape());
   const std::size_t n = dy.numel();
   for (std::size_t i = 0; i < n; ++i) {
-    d_pre_[i] = pre_relu_[i] > 0.0f ? dy[i] : 0.0f;
+    d_pre[i] = pre_relu_[i] > 0.0f ? dy[i] : 0.0f;
   }
-  // Branch path: conv2 → ReLU → conv1.
-  conv2_.backward(act2_, act3_, d_pre_, d_act2_);
-  relu1_.backward(act1_, act2_, d_act2_, d_act1_);
-  conv1_.backward(x, act1_, d_act1_, d_branch_);
+  // Branch path: conv2 → ReLU → conv1, alternating g[1] and g[2]; the
+  // branch's dx lands in g[1].
+  conv2_.backward(act2_, act3_, d_pre, g[1]);
+  relu1_.backward(act1_, act2_, g[1], g[2]);
+  conv1_.backward(x, act1_, g[2], g[1]);
   // Shortcut path.
   if (projection_) {
-    projection_->backward(x, shortcut_, d_pre_, d_short_);
-    add(d_branch_.span(), d_short_.span(), dx.span());
+    projection_->backward(x, shortcut_, d_pre, g[2]);
+    add(g[1].span(), g[2].span(), dx.span());
   } else {
-    add(d_branch_.span(), d_pre_.span(), dx.span());
+    add(g[1].span(), d_pre.span(), dx.span());
   }
 }
 
@@ -111,6 +115,15 @@ double ResidualBlock::flops_per_sample(const Shape& input) const {
   if (projection_) total += projection_->flops_per_sample(input);
   // Elementwise add + final ReLU.
   return total + 3.0 * sample_numel(mid);
+}
+
+void ResidualBlock::footprint(Footprint& f) const {
+  conv1_.footprint(f);
+  conv2_.footprint(f);
+  if (projection_) projection_->footprint(f);
+  for (const Tensor* t : {&act1_, &act2_, &act3_, &shortcut_, &pre_relu_}) {
+    f.activations += Footprint::bytes(*t);
+  }
 }
 
 }  // namespace ds

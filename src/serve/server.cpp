@@ -98,9 +98,11 @@ struct Server::Impl {
   std::vector<Replica> replicas;
   std::size_t active_count = 0;
   Shape input_shape;  // every network the factory builds takes this
-  // Server-owned networks that run the recorded batches (answer()).
-  // Lanes and the pool are built on first use and kept warm across runs.
+  // Server-owned networks that run the recorded batches (answer()), one
+  // input tensor each. Lanes, inputs and the pool are built on first use
+  // and kept warm across runs.
   std::vector<std::unique_ptr<Network>> lanes;
+  std::vector<Tensor> lane_inputs;
   std::unique_ptr<ThreadPool> forward_pool;
 
   // Cached instrument references (registration is find-or-create once).
@@ -158,10 +160,11 @@ struct Server::Impl {
     if (jobs.empty()) return;
     const std::size_t lane_count = worker_threads(jobs.size());
     while (lanes.size() < lane_count) lanes.push_back(build_network());
+    lane_inputs.resize(lanes.size());
     if (!forward_pool || forward_pool->size() < lane_count) {
       forward_pool = std::make_unique<ThreadPool>(lane_count);
     }
-    run_forwards(forward_pool.get(), lanes, pool, jobs,
+    run_forwards(forward_pool.get(), lanes, lane_inputs, pool, jobs,
                  [&](std::size_t i, const Tensor& logits) {
                    const std::vector<std::uint64_t>& ids = *batches[i];
                    const std::size_t classes = logits.numel() / ids.size();

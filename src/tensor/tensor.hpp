@@ -56,6 +56,8 @@ class Tensor {
 
   const Shape& shape() const { return shape_; }
   std::size_t numel() const { return storage_.size(); }
+  /// Floats the storage holds (grow-only, so at least numel()).
+  std::size_t capacity() const { return storage_.capacity(); }
   std::size_t rank() const { return shape_.rank(); }
   std::size_t dim(std::size_t i) const { return shape_.dim(i); }
 

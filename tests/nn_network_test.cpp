@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <string>
 
 #include "core/easgd_rules.hpp"
 #include "data/dataset.hpp"
@@ -424,6 +427,153 @@ TEST(ModelZoo, PaperMetadataMatchesPaperNumbers) {
   EXPECT_GT(paper_vgg19().flops_per_sample,
             paper_googlenet().flops_per_sample);
   EXPECT_GT(paper_googlenet().comm_layers, paper_vgg19().comm_layers);
+}
+
+// ------------------------- Zoo-wide memory and backward ---------------------
+
+struct ZooModel {
+  const char* name;
+  std::unique_ptr<Network> (*make)(Rng&, PackMode);
+};
+
+const ZooModel kZoo[] = {{"lenet_s", make_lenet_s},
+                         {"alexnet_s", make_alexnet_s},
+                         {"vgg_s", make_vgg_s},
+                         {"googlenet_s", make_googlenet_s},
+                         {"resnet_s", make_resnet_s},
+                         {"tiny_mlp", make_tiny_mlp}};
+
+std::unique_ptr<Network> build_zoo(const ZooModel& m) {
+  Rng rng(17);
+  return m.make(rng, PackMode::kPacked);
+}
+
+Tensor zoo_batch(const Network& net, std::size_t batch, std::uint64_t seed) {
+  std::vector<std::size_t> dims{batch};
+  for (const std::size_t d : net.input_shape().dims()) dims.push_back(d);
+  Tensor x{Shape(dims)};
+  Rng rng(seed);
+  fill_random(x, rng);
+  return x;
+}
+
+std::vector<std::int32_t> zoo_labels(const Network& net, std::size_t batch) {
+  std::vector<std::int32_t> labels(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    labels[i] = static_cast<std::int32_t>((i * 7 + 3) % net.classes());
+  }
+  return labels;
+}
+
+// Bytes of the two largest layer inputs (the batch included) at `batch`.
+std::size_t two_largest_layer_inputs(const Network& net, std::size_t batch) {
+  std::vector<std::size_t> bytes;
+  Shape s = zoo_batch(net, batch, 1).shape();
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    bytes.push_back(s.numel() * sizeof(float));
+    s = net.layer(i).output_shape(s);
+  }
+  std::sort(bytes.rbegin(), bytes.rend());
+  return bytes[0] + (bytes.size() > 1 ? bytes[1] : 0);
+}
+
+TEST(NetworkFootprint, TrainingStepHoldsTwoInputGradientsAndOneScratch) {
+  for (const ZooModel& m : kZoo) {
+    SCOPED_TRACE(m.name);
+    auto net = build_zoo(m);
+    net->zero_grads();
+    net->forward_backward(zoo_batch(*net, 16, 3), zoo_labels(*net, 16));
+    const Footprint f = net->footprint();
+    EXPECT_GT(f.params, 0u);
+    EXPECT_GT(f.activations, 0u);
+    EXPECT_GT(f.input_grads, 0u);
+    EXPECT_LE(f.input_grads, two_largest_layer_inputs(*net, 16));
+    // Every workspace is the network's one scratch; no layer keeps its own.
+    Footprint own;
+    for (std::size_t i = 0; i < net->layer_count(); ++i) {
+      net->layer(i).footprint(own);
+    }
+    EXPECT_EQ(own.scratch, 0u);
+    const LayerScratch& scratch = net->arena().scratch();
+    std::size_t scratch_bytes = scratch.kernel.capacity() * sizeof(float);
+    for (const Tensor& t : scratch.inner) scratch_bytes += Footprint::bytes(t);
+    EXPECT_EQ(f.scratch, scratch_bytes);
+    if (std::string(m.name) == "alexnet_s") {
+      // 19,954,048 bytes when every layer kept its own input gradient and
+      // conv workspaces.
+      EXPECT_LT(f.total(), 19954048u);
+    }
+  }
+}
+
+TEST(NetworkFootprint, InferenceKeepsNoBackwardState) {
+  for (const ZooModel& m : kZoo) {
+    SCOPED_TRACE(m.name);
+    auto net = build_zoo(m);
+    net->infer(zoo_batch(*net, 16, 3));
+    const Footprint f = net->footprint();
+    EXPECT_EQ(f.backward_state, 0u);
+    EXPECT_EQ(f.input_grads, 0u);
+    EXPECT_GT(f.activations, 0u);
+  }
+}
+
+// Network::forward_backward hands the input gradients between two buffers.
+// The reference runs the same layers (so the same arena and dropout
+// streams) with every layer's output and dx in a fresh, zeroed tensor of
+// its own.
+LossResult fresh_buffer_step(Network& net, const Tensor& x,
+                             std::span<const std::int32_t> labels) {
+  const std::size_t n = net.layer_count();
+  // The Network exposes its layers read-only; the reference drives them.
+  const auto layer = [&](std::size_t i) -> Layer& {
+    return const_cast<Layer&>(net.layer(i));
+  };
+  std::vector<Tensor> acts(n);
+  const Tensor* in = &x;
+  for (std::size_t i = 0; i < n; ++i) {
+    layer(i).forward(*in, acts[i], /*train=*/true);
+    in = &acts[i];
+  }
+  Tensor dlogits;
+  const LossResult r =
+      SoftmaxCrossEntropy().forward_backward(acts.back(), labels, dlogits);
+  std::vector<Tensor> dx(n);
+  const Tensor* dy = &dlogits;
+  for (std::size_t i = n; i-- > 0;) {
+    const Tensor& xi = i == 0 ? x : acts[i - 1];
+    if (i == 0) {
+      layer(i).backward_params(xi, acts[i], *dy, dx[i]);
+    } else {
+      layer(i).backward(xi, acts[i], *dy, dx[i]);
+    }
+    dy = &dx[i];
+  }
+  return r;
+}
+
+TEST(Network, TwoBufferBackwardMatchesFreshBuffersBitExactly) {
+  for (const ZooModel& m : kZoo) {
+    SCOPED_TRACE(m.name);
+    auto net = build_zoo(m);
+    auto ref = build_zoo(m);
+    // Batch 16, then a smaller batch 5 into the grown buffers.
+    for (const std::size_t batch : {16u, 5u, 16u}) {
+      const Tensor x = zoo_batch(*net, batch, batch);
+      const std::vector<std::int32_t> labels = zoo_labels(*net, batch);
+      net->zero_grads();
+      ref->zero_grads();
+      const LossResult got = net->forward_backward(x, labels);
+      const LossResult want = fresh_buffer_step(*ref, x, labels);
+      EXPECT_EQ(0, std::memcmp(&got.loss, &want.loss, sizeof(double)));
+      EXPECT_EQ(got.correct, want.correct);
+      const auto g = net->arena().full_grads();
+      const auto w = ref->arena().full_grads();
+      ASSERT_EQ(g.size(), w.size());
+      EXPECT_EQ(0, std::memcmp(g.data(), w.data(), g.size() * sizeof(float)))
+          << "batch " << batch;
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The modeled runners (Sync EASGD, Sync SGD, cluster Sync EASGD, KNL
-// partition) compute their workers' gradients concurrently from the second
+// partition) compute their workers' gradients concurrently from the first
 // round on, and probe the test set on those worker replicas. These tests
 // pin that down four ways: (a) against a hand-rolled serial reference built
-// from the public API (a serial Evaluator probes), bit for bit; (b) a conv
+// from the public API (a serial Evaluator probes), bit for bit, also for a
+// run of one round; (b) a conv
 // kernel pinned on the caller's kernel_config() is the one the workers run;
 // (c) repeated runs — also with intra-GEMM threading on the caller — are
 // bit-identical; and (d) the probe's edge cases — rows that fill neither a
@@ -233,6 +234,19 @@ std::uint64_t sync_seed(const AlgoContext& ctx, std::size_t i) {
   return ctx.config.seed * 7919 + i + 1;
 }
 
+void expect_sync_runs_match_serial(const AlgoContext& ctx,
+                                   const GpuSystem& hw) {
+  const auto seed = [&](std::size_t i) { return sync_seed(ctx, i); };
+  const Reference easgd = serial_easgd(ctx, seed);
+  const RunResult e = run_sync_easgd(ctx, hw, SyncEasgdVariant::kEasgd3);
+  expect_bitwise(e.final_params, easgd.final_params, "Sync EASGD3");
+  expect_trace_bitwise(e.trace, easgd.trace, "Sync EASGD3");
+  const Reference sgd = serial_sgd(ctx, seed, 1.0f);
+  const RunResult s = run_sync_sgd(ctx, hw);
+  expect_bitwise(s.final_params, sgd.final_params, "Sync SGD");
+  expect_trace_bitwise(s.trace, sgd.trace, "Sync SGD");
+}
+
 // (a) ------------------------------------------------------------------------
 
 TEST(ReplicaParallel, SyncEasgdMatchesSerialReference) {
@@ -263,11 +277,10 @@ TEST(ReplicaParallel, ClusterSyncEasgdMatchesSerialReference) {
   expect_trace_bitwise(r.trace, ref.trace, "cluster Sync EASGD");
 }
 
-TEST(ReplicaParallel, KnlPartitionMatchesSerialReference) {
-  Fixture f;
+void expect_knl_matches_serial(const Fixture& f) {
   KnlPartitionConfig pcfg;
   pcfg.parts = kWorkers;
-  pcfg.max_rounds = kRounds;
+  pcfg.max_rounds = f.ctx.config.iterations;
   pcfg.target_accuracy = 2.0;  // never reached: every round runs
   pcfg.paper_model = paper_alexnet();
   const Reference ref = serial_sgd(
@@ -276,6 +289,25 @@ TEST(ReplicaParallel, KnlPartitionMatchesSerialReference) {
   const KnlPartitionResult r = run_knl_partition(f.ctx, KnlChip{}, pcfg);
   expect_bitwise(r.run.final_params, ref.final_params, "KNL partition");
   expect_trace_bitwise(r.run.trace, ref.trace, "KNL partition");
+}
+
+TEST(ReplicaParallel, KnlPartitionMatchesSerialReference) {
+  expect_knl_matches_serial(Fixture{});
+}
+
+// A run of one round is exactly the round in which every replica first
+// grows its buffers, concurrently on the pool like every later round.
+TEST(ReplicaParallel, RoundOneOfEveryPooledRunnerMatchesSerialReference) {
+  Fixture f;
+  f.ctx.config.iterations = 1;
+  expect_sync_runs_match_serial(f.ctx, f.hw);
+  const Reference cluster = serial_easgd(f.ctx, [&](std::size_t i) {
+    return f.ctx.config.seed * 15485863 + i;
+  });
+  const RunResult r = run_cluster_sync_easgd(f.ctx, f.timing);
+  expect_bitwise(r.final_params, cluster.final_params, "cluster Sync EASGD");
+  expect_trace_bitwise(r.trace, cluster.trace, "cluster Sync EASGD");
+  expect_knl_matches_serial(f);
 }
 
 // (b) ------------------------------------------------------------------------
@@ -324,8 +356,8 @@ TEST(ReplicaParallel, RepeatedRunsAreBitIdentical) {
   };
   const std::vector<RunResult> first = runs();
   const std::vector<RunResult> again = runs();
-  // Intra-GEMM threading on the caller changes neither the serial first
-  // round nor the workers, which always run single-threaded kernels.
+  // Intra-GEMM threading on the caller does not reach the workers, which
+  // run single-threaded kernels from the first round on.
   kernel_config().gemm_threads = 3;
   const std::vector<RunResult> threaded = runs();
   kernel_config().gemm_threads = 1;
@@ -336,19 +368,6 @@ TEST(ReplicaParallel, RepeatedRunsAreBitIdentical) {
 }
 
 // (d) ------------------------------------------------------------------------
-
-void expect_sync_runs_match_serial(const AlgoContext& ctx,
-                                   const GpuSystem& hw) {
-  const auto seed = [&](std::size_t i) { return sync_seed(ctx, i); };
-  const Reference easgd = serial_easgd(ctx, seed);
-  const RunResult e = run_sync_easgd(ctx, hw, SyncEasgdVariant::kEasgd3);
-  expect_bitwise(e.final_params, easgd.final_params, "Sync EASGD3");
-  expect_trace_bitwise(e.trace, easgd.trace, "Sync EASGD3");
-  const Reference sgd = serial_sgd(ctx, seed, 1.0f);
-  const RunResult s = run_sync_sgd(ctx, hw);
-  expect_bitwise(s.final_params, sgd.final_params, "Sync SGD");
-  expect_trace_bitwise(s.trace, sgd.trace, "Sync SGD");
-}
 
 TEST(ReplicaProbe, RowsFillingNeitherABatchNorAChunkMatchSerial) {
   // 50 rows: shares of 17/17/16 in batches of 3 with a short last batch,
