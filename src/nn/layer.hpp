@@ -54,9 +54,10 @@ struct Footprint {
 /// what another left behind.
 struct LayerScratch {
   AlignedBuffer kernel;  // conv and LRN kernel workspaces
-  /// A composite block's inner tensors (inference stage outputs, inner
-  /// input gradients). Its inner layers use only `kernel`, so blocks must
-  /// not nest.
+  /// A composite block's inner tensors: two for a stage sequence's
+  /// inference outputs or input gradients, one for the block's own (a
+  /// branch's dy slice, a masked dy, a projection). Its inner layers use
+  /// only `kernel`, so blocks must not nest.
   Tensor inner[3];
 };
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "nn/layer.hpp"
+#include "nn/stages.hpp"
 #include "support/aligned_buffer.hpp"
 #include "tensor/conv_algo.hpp"
 #include "tensor/im2col.hpp"
@@ -262,42 +263,28 @@ class FullyConnected final : public Layer {
 /// stride 1) or a 1×1 projection conv (channel/stride change). The paper's
 /// introduction names 152-layer ResNets as the workloads driving the need
 /// for scalable training.
-class ResidualBlock final : public Layer {
+class ResidualBlock final : public CompositeLayer {
  public:
   ResidualBlock(std::size_t in_channels, std::size_t out_channels,
                 std::size_t stride = 1);
 
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
-  std::size_t param_count() const override;
-  void bind(std::span<float> params, std::span<float> grads) override;
-  void bind_scratch(LayerScratch& scratch) override;
-  void init_params(Rng& rng) override;
   double flops_per_sample(const Shape& input) const override;
-  void footprint(Footprint& f) const override;
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
   void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
                      Tensor& dx) override;
 
-  std::size_t in_c_;
-  std::size_t out_c_;
-  std::size_t stride_;
-  Conv2D conv1_;
-  ReLU relu1_;
-  Conv2D conv2_;
-  std::unique_ptr<Conv2D> projection_;  // null for identity shortcuts
-  // Forward activations needed by backward. Backward's inner gradients
-  // live in the network's scratch.
-  Tensor act1_, act2_, act3_, shortcut_;
-  Tensor pre_relu_;
+  std::size_t in_c_, out_c_, stride_;
+  // stages_: {conv1, ReLU, conv2}, then the shortcut ({} or {projection}).
 };
 
 /// GoogLeNet-style inception block: four parallel branches
 /// (1×1 | 1×1→3×3 | 1×1→5×5 | 3×3 maxpool→1×1) concatenated along channels.
 /// Implemented as a composite layer so Network stays a sequential container.
-class InceptionBlock final : public Layer {
+class InceptionBlock final : public CompositeLayer {
  public:
   InceptionBlock(std::size_t in_channels, std::size_t c1x1,
                  std::size_t c3x3_reduce, std::size_t c3x3,
@@ -306,30 +293,15 @@ class InceptionBlock final : public Layer {
 
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
-  std::size_t param_count() const override;
-  void bind(std::span<float> params, std::span<float> grads) override;
-  void bind_scratch(LayerScratch& scratch) override;
-  void init_params(Rng& rng) override;
-  double flops_per_sample(const Shape& input) const override;
-  void footprint(Footprint& f) const override;
-
-  std::size_t out_channels() const;
+  std::size_t out_channels() const { return out_c_; }
 
  private:
   void forward_impl(const Tensor& x, Tensor& y, bool train) override;
   void backward_impl(const Tensor& x, const Tensor& y, const Tensor& dy,
                      Tensor& dx) override;
 
-  struct Branch {
-    std::vector<LayerPtr> stages;
-    std::vector<Tensor> acts;  // forward activations per stage
-  };
-
-  std::size_t in_c_;
-  std::size_t out_1x1_, out_3x3_, out_5x5_, out_pool_;
-  // Inference stage outputs and backward's branch dy slice and stage
-  // gradients live in the network's scratch.
-  std::vector<Branch> branches_;
+  std::size_t in_c_, out_c_;
+  // stages_: the four branches, in the order above.
 };
 
 }  // namespace ds

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string_view>
 
 #include "obs/chrome_trace.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -35,6 +37,45 @@ std::string num(double v) {
 }
 
 std::string num(std::int64_t v) { return std::to_string(v); }
+
+// Fixed tuning (DESIGN.md §13); the bundle's "config" section reports it
+// next to MonitorConfig's fields.
+/// Ring capacity of every TimeSeries (per-rank step series, queue depth,
+/// sampled metric rates).
+constexpr std::size_t kSeriesCapacity = 512;
+/// Registry instruments sampled into ".rate_per_vs" series at each window
+/// close — tick-driven (single-threaded) runs only.
+constexpr const char* kSampledMetrics[] = {
+    names::kFabricRetransmits, names::kServeServed, names::kServeShed,
+    names::kServeDeadlineMiss};
+/// EWMA smoothing factor for per-rank step means and the cluster rate.
+constexpr double kEwmaAlpha = 0.3;
+/// Straggler drift: fire when a rank's step-time EWMA sits kStragglerZ
+/// sigmas above the leave-one-out mean of its peers, where sigma is floored
+/// at kStragglerMinSigmaFrac of the peer mean (a tight peer group would
+/// otherwise make any jitter look infinitely anomalous).
+constexpr double kStragglerZ = 4.0;
+constexpr double kStragglerMinSigmaFrac = 0.05;
+/// Serve SLO: the deadline-miss budget (fraction of replies allowed to
+/// miss) and the burn-rate multiple that fires (miss_fraction / budget).
+constexpr double kSloMissBudget = 0.01;
+constexpr double kSloBurnThreshold = 4.0;
+/// Queue growth: fire when the queue-depth slope (requests per virtual
+/// second, least-squares over the retained series) reaches kSloQueueSlope
+/// and the latest depth is at least kSloQueueMinDepth.
+constexpr double kSloQueueSlope = 50.0;
+constexpr std::int64_t kSloQueueMinDepth = 8;
+/// Per-rank ring capacity of mirrored trace events.
+constexpr std::size_t kFlightEventsPerRank = 1024;
+/// Registry-name prefixes captured into the bundle's "metrics" section at
+/// finalize. Wall-clock instruments (pool.task_wait_seconds) stay out so the
+/// bundle is byte-deterministic.
+constexpr std::string_view kMetricPrefixes[] = {"fabric.", "comm.", "serve.",
+                                                "monitor."};
+/// Dropped although a prefix matches: the one float accumulator whose
+/// cross-thread addition order is interleaving-dependent, so its low bits
+/// would break the bundle's byte-determinism.
+constexpr std::string_view kMetricExclude = "fabric.recv_wait_vseconds";
 
 }  // namespace
 
@@ -161,8 +202,8 @@ struct FlightRing {
 }  // namespace
 
 struct Monitor::Impl {
-  explicit Impl(const MonitorConfig& cfg)
-      : queue_series(cfg.series_capacity),
+  Impl()
+      : queue_series(kSeriesCapacity),
         start_snapshot(metrics().snapshot()),
         prev_sample(start_snapshot),
         latency_hist(&metrics().histogram(names::kServeLatencyUsec)),
@@ -173,7 +214,7 @@ struct Monitor::Impl {
         dumps_ctr(metrics().counter(names::kMonitorDumps)) {}
 
   struct RankState {
-    explicit RankState(std::size_t cap) : step_series(cap) {}
+    RankState() : step_series(kSeriesCapacity) {}
     bool alive = true;
     double watermark = 0.0;
     double last_stamp = 0.0;
@@ -241,9 +282,7 @@ struct Monitor::Impl {
 Monitor::Monitor(MonitorConfig config) : config_(std::move(config)) {
   DS_CHECK(config_.sample_interval_vs > 0.0,
            "monitor: sample_interval_vs must be positive");
-  if (config_.series_capacity == 0) config_.series_capacity = 1;
-  if (config_.flight_events_per_rank == 0) config_.flight_events_per_rank = 1;
-  impl_ = new Impl(config_);
+  impl_ = new Impl();
 }
 
 Monitor::~Monitor() {
@@ -270,7 +309,7 @@ void Monitor::on_run_begin(std::int64_t ranks) {
   const MutexLock lock(impl_->mu);
   impl_->rank_mode = true;
   for (std::int64_t r = 0; r < ranks; ++r) {
-    impl_->ranks.emplace(r, Impl::RankState(config_.series_capacity));
+    impl_->ranks.try_emplace(r);
   }
 }
 
@@ -369,8 +408,8 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
       const double mean = acc.step_sum / static_cast<double>(acc.steps);
       rs.ewma_step = std::isnan(rs.ewma_step)
                          ? mean
-                         : cfg.ewma_alpha * mean +
-                               (1.0 - cfg.ewma_alpha) * rs.ewma_step;
+                         : kEwmaAlpha * mean +
+                               (1.0 - kEwmaAlpha) * rs.ewma_step;
     }
   }
   ServeAccum sv;
@@ -390,15 +429,15 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
     const double rate = static_cast<double>(steps_w) / dt;
     im.rate_ewma = std::isnan(im.rate_ewma)
                        ? rate
-                       : cfg.ewma_alpha * rate +
-                             (1.0 - cfg.ewma_alpha) * im.rate_ewma;
+                       : kEwmaAlpha * rate +
+                             (1.0 - kEwmaAlpha) * im.rate_ewma;
     im.rate_peak = std::max(im.rate_peak, im.rate_ewma);
     auto [it, inserted] = im.series.try_emplace("cluster.steps_per_vs",
-                                                cfg.series_capacity);
+                                                kSeriesCapacity);
     (void)inserted;
     it->second.push(t_end, rate);
     auto [rit, rinserted] = im.series.try_emplace("fabric.retransmits_per_vs",
-                                                  cfg.series_capacity);
+                                                  kSeriesCapacity);
     (void)rinserted;
     rit->second.push(t_end, static_cast<double>(retr_w) / dt);
   }
@@ -406,7 +445,7 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
     const double miss_frac =
         static_cast<double>(sv.misses) / static_cast<double>(sv.replies);
     auto [it, inserted] =
-        im.series.try_emplace("serve.miss_fraction", cfg.series_capacity);
+        im.series.try_emplace("serve.miss_fraction", kSeriesCapacity);
     (void)inserted;
     it->second.push(t_end, miss_frac);
   }
@@ -435,16 +474,16 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
         }
         var /= static_cast<double>(ewmas.size() - 1);
         const double sigma =
-            std::max({std::sqrt(var), cfg.straggler_min_sigma_frac * mean,
+            std::max({std::sqrt(var), kStragglerMinSigmaFrac * mean,
                       1e-12});
         const double z = (e - mean) / sigma;
         const bool latched = im.straggler_latched.count(r) > 0;
-        if (z >= cfg.straggler_z && !latched) {
+        if (z >= kStragglerZ && !latched) {
           im.straggler_latched.insert(r);
-          fire(m, im, AlertKind::kStragglerDrift, r, t_end, z, cfg.straggler_z,
+          fire(m, im, AlertKind::kStragglerDrift, r, t_end, z, kStragglerZ,
                "rank " + num(r) + " step EWMA " + num(e) + "s vs peers " +
                    num(mean) + "s (z=" + num(z) + ")");
-        } else if (latched && z < 0.5 * cfg.straggler_z) {
+        } else if (latched && z < 0.5 * kStragglerZ) {
           im.straggler_latched.erase(r);
         }
       }
@@ -480,16 +519,16 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
   if (warm && sv.replies >= cfg.slo_min_replies) {
     const double miss_frac =
         static_cast<double>(sv.misses) / static_cast<double>(sv.replies);
-    const double burn = miss_frac / std::max(cfg.slo_miss_budget, 1e-12);
-    if (burn >= cfg.slo_burn_threshold && !im.slo_latched) {
+    const double burn = miss_frac / kSloMissBudget;
+    if (burn >= kSloBurnThreshold && !im.slo_latched) {
       im.slo_latched = true;
       fire(m, im, AlertKind::kSloBurn, kNoRank, t_end, burn,
-           cfg.slo_burn_threshold,
+           kSloBurnThreshold,
            "deadline-miss fraction " + num(miss_frac) + " burns " + num(burn) +
-               "x the " + num(cfg.slo_miss_budget) + " budget (" +
+               "x the " + num(kSloMissBudget) + " budget (" +
                num(static_cast<std::int64_t>(sv.misses)) + "/" +
                num(static_cast<std::int64_t>(sv.replies)) + " replies)");
-    } else if (im.slo_latched && burn < 0.5 * cfg.slo_burn_threshold) {
+    } else if (im.slo_latched && burn < 0.5 * kSloBurnThreshold) {
       im.slo_latched = false;
     }
   }
@@ -497,15 +536,15 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
   if (warm && im.serve_seen && im.queue_series.size() >= 8) {
     const double slope = im.queue_series.slope();
     const double depth = im.queue_series.back().v;
-    if (slope >= cfg.slo_queue_slope &&
-        depth >= static_cast<double>(cfg.slo_queue_min_depth) &&
+    if (slope >= kSloQueueSlope &&
+        depth >= static_cast<double>(kSloQueueMinDepth) &&
         !im.queue_latched) {
       im.queue_latched = true;
       fire(m, im, AlertKind::kQueueGrowth, kNoRank, t_end, slope,
-           cfg.slo_queue_slope,
+           kSloQueueSlope,
            "queue depth " + num(depth) + " growing at " + num(slope) +
                " req/vs");
-    } else if (im.queue_latched && slope < 0.5 * cfg.slo_queue_slope) {
+    } else if (im.queue_latched && slope < 0.5 * kSloQueueSlope) {
       im.queue_latched = false;
     }
   }
@@ -513,10 +552,10 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
   // Registry-delta sampling: tick-driven (single-threaded) runs only.
   if (!im.rank_mode && im.tick_seen) {
     const MetricsSnapshot snap = metrics().snapshot();
-    for (const std::string& name : cfg.sampled_metrics) {
+    for (const std::string name : kSampledMetrics) {
       const double rate = snap.delta(im.prev_sample, name) / dt;
       auto [it, inserted] =
-          im.series.try_emplace(name + ".rate_per_vs", cfg.series_capacity);
+          im.series.try_emplace(name + ".rate_per_vs", kSeriesCapacity);
       (void)inserted;
       it->second.push(t_end, rate);
     }
@@ -525,7 +564,7 @@ void MonitorAccess::close_window(Monitor& m, Impl& im, std::int64_t w,
     const HistogramWindow delta = cur.since(im.prev_latency);
     if (delta.count > 0) {
       auto [it, inserted] =
-          im.series.try_emplace("serve.p99_usec", cfg.series_capacity);
+          im.series.try_emplace("serve.p99_usec", kSeriesCapacity);
       (void)inserted;
       it->second.push(t_end, delta.quantile(0.99));
     }
@@ -550,7 +589,7 @@ void MonitorAccess::maybe_close(Monitor& m, Impl& im, bool force,
 void MonitorAccess::step(Monitor& m, Impl& im, std::int64_t rank,
                          double vtime, double step_seconds) {
   auto [it, inserted] =
-      im.ranks.try_emplace(rank, Monitor::Impl::RankState(m.config_.series_capacity));
+      im.ranks.try_emplace(rank);
   if (inserted) im.rank_mode = true;
   Monitor::Impl::RankState& rs = it->second;
   if (step_seconds < 0.0) {
@@ -570,7 +609,7 @@ void MonitorAccess::step(Monitor& m, Impl& im, std::int64_t rank,
 void MonitorAccess::retransmit(Monitor& m, Impl& im, std::int64_t rank,
                                double vtime, std::uint64_t n) {
   auto [it, inserted] =
-      im.ranks.try_emplace(rank, Monitor::Impl::RankState(m.config_.series_capacity));
+      im.ranks.try_emplace(rank);
   if (inserted) im.rank_mode = true;
   Monitor::Impl::RankState& rs = it->second;
   rs.watermark = std::max(rs.watermark, vtime);
@@ -630,7 +669,7 @@ void Monitor::on_failure(std::int64_t rank, double vtime, const char* what) {
   failures_.push_back(
       FailureRecord{rank, vtime, what != nullptr ? what : ""});
   auto [it, inserted] =
-      impl_->ranks.try_emplace(rank, Impl::RankState(config_.series_capacity));
+      impl_->ranks.try_emplace(rank);
   if (inserted) impl_->rank_mode = true;
   it->second.alive = false;
   it->second.watermark = std::max(it->second.watermark, vtime);
@@ -679,15 +718,8 @@ void Monitor::on_run_finalize(double vtime) {
   const MetricsSnapshot snap = metrics().snapshot();
   impl_->final_metrics.clear();
   for (const auto& [name, value] : snap.values()) {
-    bool excluded = false;
-    for (const std::string& skip : config_.metric_excludes) {
-      if (name == skip) {
-        excluded = true;
-        break;
-      }
-    }
-    if (excluded) continue;
-    for (const std::string& prefix : config_.metric_prefixes) {
+    if (name == kMetricExclude) continue;
+    for (const std::string_view prefix : kMetricPrefixes) {
       if (name.rfind(prefix, 0) == 0) {
         impl_->final_metrics[name] = value - impl_->start_snapshot.value(name);
         break;
@@ -715,7 +747,7 @@ void Monitor::mirror(const Event& event) {
   g_slow_entries.fetch_add(1, std::memory_order_relaxed);
   if (std::isnan(event.vtime)) return;
   const MutexLock lock(impl_->flight_mu);
-  impl_->flight[event.rank].push(event, config_.flight_events_per_rank);
+  impl_->flight[event.rank].push(event, kFlightEventsPerRank);
 }
 
 namespace testing {
@@ -754,18 +786,18 @@ JsonValue MonitorAccess::build_bundle(const Monitor& m, Impl& im) {
   JsonObject cfgj;
   cfgj.emplace("sample_interval_vs", JsonValue(cfg.sample_interval_vs));
   cfgj.emplace("series_capacity",
-               JsonValue(static_cast<double>(cfg.series_capacity)));
+               JsonValue(static_cast<double>(kSeriesCapacity)));
   cfgj.emplace("warmup_windows",
                JsonValue(static_cast<double>(cfg.warmup_windows)));
-  cfgj.emplace("ewma_alpha", JsonValue(cfg.ewma_alpha));
-  cfgj.emplace("straggler_z", JsonValue(cfg.straggler_z));
+  cfgj.emplace("ewma_alpha", JsonValue(kEwmaAlpha));
+  cfgj.emplace("straggler_z", JsonValue(kStragglerZ));
   cfgj.emplace("collapse_fraction", JsonValue(cfg.collapse_fraction));
   cfgj.emplace("storm_retransmits_per_vs",
                JsonValue(cfg.storm_retransmits_per_vs));
-  cfgj.emplace("slo_miss_budget", JsonValue(cfg.slo_miss_budget));
-  cfgj.emplace("slo_burn_threshold", JsonValue(cfg.slo_burn_threshold));
+  cfgj.emplace("slo_miss_budget", JsonValue(kSloMissBudget));
+  cfgj.emplace("slo_burn_threshold", JsonValue(kSloBurnThreshold));
   cfgj.emplace("flight_events_per_rank",
-               JsonValue(static_cast<double>(cfg.flight_events_per_rank)));
+               JsonValue(static_cast<double>(kFlightEventsPerRank)));
   doc.emplace("config", JsonValue(std::move(cfgj)));
 
   if (m.trigger_armed_) {
@@ -849,7 +881,7 @@ JsonValue MonitorAccess::build_bundle(const Monitor& m, Impl& im) {
     JsonObject flight;
     flight.emplace(
         "per_rank_capacity",
-        JsonValue(static_cast<double>(cfg.flight_events_per_rank)));
+        JsonValue(static_cast<double>(kFlightEventsPerRank)));
     JsonObject per_rank;
     for (const auto& [r, ring] : im.flight) {
       JsonObject pj;
@@ -1001,17 +1033,15 @@ std::string Monitor::flight_trace_json() const {
 bool MonitorAccess::write_bundle_locked(const Monitor& m, Impl& im) {
   const MonitorConfig& config_ = m.config_;
   if (config_.bundle_path.empty()) return false;
-  std::string flight_path = config_.flight_trace_path;
-  if (flight_path.empty()) {
-    flight_path = config_.bundle_path;
-    const std::string suffix = ".json";
-    if (flight_path.size() >= suffix.size() &&
-        flight_path.compare(flight_path.size() - suffix.size(), suffix.size(),
-                            suffix) == 0) {
-      flight_path.resize(flight_path.size() - suffix.size());
-    }
-    flight_path += ".trace.json";
+  // The flight trace goes next to the bundle: x.json -> x.trace.json.
+  std::string flight_path = config_.bundle_path;
+  const std::string suffix = ".json";
+  if (flight_path.size() >= suffix.size() &&
+      flight_path.compare(flight_path.size() - suffix.size(), suffix.size(),
+                          suffix) == 0) {
+    flight_path.resize(flight_path.size() - suffix.size());
   }
+  flight_path += ".trace.json";
   // Caller holds mu; serialize fully before opening the files so a write
   // failure can't leave a partially-built document behind.
   const std::string bundle = write_json(build_bundle(m, im));

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ds::obs::monitor {
@@ -115,70 +114,27 @@ struct MonitorConfig {
   /// Window length in virtual seconds; every detector evaluates once per
   /// closed window.
   double sample_interval_vs = 0.05;
-  /// Ring capacity of every TimeSeries (per-rank step series, queue depth,
-  /// sampled metric rates).
-  std::size_t series_capacity = 512;
-  /// Registry instruments sampled into ".rate_per_vs" series at each window
-  /// close — tick-driven (single-threaded) runs only.
-  std::vector<std::string> sampled_metrics = {
-      std::string(names::kFabricRetransmits),
-      std::string(names::kServeServed),
-      std::string(names::kServeShed),
-      std::string(names::kServeDeadlineMiss),
-  };
 
   // (b) detectors ----------------------------------------------------------
   /// Windows to observe before any detector may fire (EWMA settle time).
   std::size_t warmup_windows = 3;
-  /// EWMA smoothing factor for per-rank step means and the cluster rate.
-  double ewma_alpha = 0.3;
-  /// Straggler drift: fire when a rank's step-time EWMA sits this many
-  /// sigmas above the leave-one-out mean of its peers…
-  double straggler_z = 4.0;
-  /// …where sigma is floored at this fraction of the peer mean (a tight
-  /// peer group would otherwise make any jitter look infinitely anomalous).
-  double straggler_min_sigma_frac = 0.05;
   /// Throughput collapse: fire when a window's step rate drops below this
   /// fraction of the peak smoothed rate.
   double collapse_fraction = 0.45;
   /// Retransmit storm: fire when a window's retransmit rate (per virtual
   /// second, summed over ranks) reaches this.
   double storm_retransmits_per_vs = 200.0;
-  /// Serve SLO: deadline-miss budget (fraction of replies allowed to miss)…
-  double slo_miss_budget = 0.01;
-  /// …and the burn-rate multiple that fires (miss_fraction / budget).
-  double slo_burn_threshold = 4.0;
-  /// Minimum replies in a window before the SLO detector judges it.
+  /// Serve SLO: minimum replies in a window before the SLO detector judges it.
   std::uint64_t slo_min_replies = 8;
-  /// Queue growth: fire when the queue-depth slope (requests per virtual
-  /// second, least-squares over the retained series) reaches this…
-  double slo_queue_slope = 50.0;
-  /// …and the latest depth is at least this.
-  std::int64_t slo_queue_min_depth = 8;
 
   // (c) flight recorder / postmortem bundle --------------------------------
-  /// Per-rank ring capacity of mirrored trace events.
-  std::size_t flight_events_per_rank = 1024;
   /// Dump destination for the postmortem bundle ("" = in-memory only; the
   /// bundle is always available via bundle_json()).
   std::string bundle_path;
-  /// Dump destination for the flight-recorder Chrome trace ("" = derived
-  /// from bundle_path by replacing ".json" with ".trace.json").
-  std::string flight_trace_path;
   /// Arm the dump trigger on hook_failure.
   bool dump_on_failure = true;
   /// Arm the dump trigger on any detector alert.
   bool dump_on_alert = false;
-  /// Registry-name prefixes captured into the bundle's "metrics" section at
-  /// finalize. Wall-clock instruments (pool.task_wait_seconds) are excluded
-  /// by default so the bundle stays byte-deterministic.
-  std::vector<std::string> metric_prefixes = {"fabric.", "comm.", "serve.",
-                                              "monitor."};
-  /// Exact names dropped from the capture even when a prefix matches. The
-  /// default excludes the one float accumulator whose cross-thread addition
-  /// order is interleaving-dependent: its low bits would break the bundle's
-  /// byte-determinism contract.
-  std::vector<std::string> metric_excludes = {"fabric.recv_wait_vseconds"};
 };
 
 // ---------------------------------------------------------------------------

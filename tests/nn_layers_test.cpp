@@ -991,5 +991,220 @@ TEST(InceptionLayer, FlopsArePositiveAndAdditive) {
   EXPECT_GT(f, 0.0);
 }
 
+// ------------------------- Composite block oracle ---------------------------
+//
+// Each composite block against a reference made of public layers bound to
+// the block's own parameter slices (conv1, conv2, projection; branches in
+// order), with every stage output and gradient in a fresh tensor. The
+// reference writes the residual's pre-activation out and masks dy by it.
+
+// One chain of public layers.
+struct RefChain {
+  std::vector<LayerPtr> layers;
+  std::vector<Tensor> acts;
+
+  const Tensor& forward(const Tensor& x, bool train) {
+    acts = std::vector<Tensor>(layers.size());
+    const Tensor* in = &x;
+    for (std::size_t s = 0; s < layers.size(); ++s) {
+      layers[s]->forward(*in, acts[s], train);
+      in = &acts[s];
+    }
+    return *in;
+  }
+
+  // dL/dx; a chain without layers passes dy through.
+  Tensor backward(const Tensor& x, const Tensor& dy) {
+    std::vector<Tensor> grads(layers.size());
+    const Tensor* g = &dy;
+    for (std::size_t s = layers.size(); s-- > 0;) {
+      layers[s]->backward(s == 0 ? x : acts[s - 1], acts[s], *g, grads[s]);
+      g = &grads[s];
+    }
+    return *g;
+  }
+};
+
+struct RefBlock {
+  virtual ~RefBlock() = default;
+  virtual Tensor forward(const Tensor& x, bool train) = 0;
+  virtual Tensor backward(const Tensor& x, const Tensor& dy) = 0;
+  std::vector<RefChain> chains;  // in the block's parameter order
+};
+
+// y = ReLU(main(x) + shortcut(x)); chains = {main, shortcut}.
+struct RefResidual final : RefBlock {
+  Tensor forward(const Tensor& x, bool train) override {
+    const Tensor& main = chains[0].forward(x, train);
+    const Tensor& shortcut = chains[1].forward(x, train);
+    pre = Tensor(main.shape());
+    Tensor y(main.shape());
+    for (std::size_t i = 0; i < y.numel(); ++i) {
+      pre[i] = main[i] + shortcut[i];
+      y[i] = pre[i] > 0.0f ? pre[i] : 0.0f;
+    }
+    return y;
+  }
+  Tensor backward(const Tensor& x, const Tensor& dy) override {
+    Tensor d_pre(dy.shape());
+    for (std::size_t i = 0; i < dy.numel(); ++i) {
+      d_pre[i] = pre[i] > 0.0f ? dy[i] : 0.0f;
+    }
+    const Tensor d_main = chains[0].backward(x, d_pre);
+    const Tensor d_shortcut = chains[1].backward(x, d_pre);
+    Tensor dx(x.shape());
+    for (std::size_t i = 0; i < dx.numel(); ++i) {
+      dx[i] = d_main[i] + d_shortcut[i];
+    }
+    return dx;
+  }
+  Tensor pre;
+};
+
+// Branch outputs concatenated along channels; chains = the four branches.
+struct RefInception final : RefBlock {
+  Tensor forward(const Tensor& x, bool train) override {
+    std::vector<const Tensor*> outs;
+    std::size_t channels = 0;
+    for (RefChain& c : chains) {
+      outs.push_back(&c.forward(x, train));
+      channels += outs.back()->dim(1);
+    }
+    const std::size_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
+    Tensor y({batch, channels, x.dim(2), x.dim(3)});
+    for (std::size_t n = 0; n < batch; ++n) {
+      std::size_t c0 = 0;
+      for (const Tensor* o : outs) {
+        const std::size_t bc = o->dim(1);
+        std::memcpy(y.data() + (n * channels + c0) * hw,
+                    o->data() + n * bc * hw, bc * hw * sizeof(float));
+        c0 += bc;
+      }
+    }
+    return y;
+  }
+  Tensor backward(const Tensor& x, const Tensor& dy) override {
+    const std::size_t batch = x.dim(0), hw = x.dim(2) * x.dim(3);
+    const std::size_t channels = dy.dim(1);
+    Tensor dx(x.shape());
+    std::size_t c0 = 0;
+    for (RefChain& c : chains) {
+      const std::size_t bc = c.acts.back().dim(1);
+      Tensor dyb(c.acts.back().shape());
+      for (std::size_t n = 0; n < batch; ++n) {
+        std::memcpy(dyb.data() + n * bc * hw,
+                    dy.data() + (n * channels + c0) * hw,
+                    bc * hw * sizeof(float));
+      }
+      const Tensor g = c.backward(x, dyb);
+      for (std::size_t i = 0; i < dx.numel(); ++i) dx[i] += g[i];
+      c0 += bc;
+    }
+    return dx;
+  }
+};
+
+template <class... L>
+RefChain chain(std::unique_ptr<L>... layers) {
+  RefChain c;
+  (c.layers.push_back(std::move(layers)), ...);
+  return c;
+}
+
+LayerPtr conv(std::size_t in, std::size_t out, std::size_t k,
+              std::size_t stride = 1, std::size_t pad = 0) {
+  return std::make_unique<Conv2D>(in, out, k, stride, pad);
+}
+LayerPtr relu() { return std::make_unique<ReLU>(); }
+
+std::unique_ptr<RefBlock> ref_residual(std::size_t in, std::size_t out,
+                                       std::size_t stride) {
+  auto ref = std::make_unique<RefResidual>();
+  ref->chains.push_back(
+      chain(conv(in, out, 3, stride, 1), relu(), conv(out, out, 3, 1, 1)));
+  ref->chains.push_back(in == out && stride == 1
+                            ? RefChain{}
+                            : chain(conv(in, out, 1, stride, 0)));
+  return ref;
+}
+
+std::unique_ptr<RefBlock> ref_inception(std::size_t in, std::size_t c1,
+                                        std::size_t c3r, std::size_t c3,
+                                        std::size_t c5r, std::size_t c5,
+                                        std::size_t pp) {
+  auto ref = std::make_unique<RefInception>();
+  ref->chains.push_back(chain(conv(in, c1, 1), relu()));
+  ref->chains.push_back(
+      chain(conv(in, c3r, 1), relu(), conv(c3r, c3, 3, 1, 1), relu()));
+  ref->chains.push_back(
+      chain(conv(in, c5r, 1), relu(), conv(c5r, c5, 5, 1, 2), relu()));
+  ref->chains.push_back(chain(
+      std::unique_ptr<Layer>(std::make_unique<MaxPool2D>(3, 1, 1)),
+      conv(in, pp, 1), relu()));
+  return ref;
+}
+
+// Training step (y, dx, parameter gradients) and inference forward, batches
+// 16, 5, 16 so the block reuses grown buffers at a smaller batch.
+void expect_block_matches_reference(Layer& block, RefBlock& ref,
+                                    std::size_t channels, std::size_t side) {
+  const std::size_t n_params = block.param_count();
+  std::vector<float> params(n_params), grads(n_params), ref_grads(n_params);
+  block.bind(params, grads);
+  LayerScratch scratch;  // shared with the inner layers, as in a Network
+  block.bind_scratch(scratch);
+  Rng rng(5);
+  block.init_params(rng);
+  std::size_t offset = 0;
+  for (RefChain& c : ref.chains) {
+    for (LayerPtr& l : c.layers) {
+      const std::size_t n = l->param_count();
+      l->bind(std::span(params).subspan(offset, n),
+              std::span(ref_grads).subspan(offset, n));
+      offset += n;
+    }
+  }
+  ASSERT_EQ(offset, n_params);
+
+  Tensor y, dx;  // the block's, reused across batches
+  for (const std::size_t batch : {16u, 5u, 16u}) {
+    SCOPED_TRACE(batch);
+    Tensor x({batch, channels, side, side});
+    fill_random(x, rng);
+    Tensor dy(block.output_shape(x.shape()));
+    fill_random(dy, rng);
+
+    std::fill(grads.begin(), grads.end(), 0.0f);
+    std::fill(ref_grads.begin(), ref_grads.end(), 0.0f);
+    block.forward(x, y, /*train=*/true);
+    block.backward(x, y, dy, dx);
+    EXPECT_TRUE(bitwise_equal(y, ref.forward(x, /*train=*/true)));
+    EXPECT_TRUE(bitwise_equal(dx, ref.backward(x, dy)));
+    EXPECT_EQ(0, std::memcmp(grads.data(), ref_grads.data(),
+                             n_params * sizeof(float)));
+
+    block.forward(x, y, /*train=*/false);
+    EXPECT_TRUE(bitwise_equal(y, ref.forward(x, /*train=*/false)));
+  }
+}
+
+// 16×16 planes send the stride-1 3×3 convs to the direct kernel under
+// kAuto; the strided and 1×1/5×5 convs lower through im2col.
+TEST(CompositeOracle, IdentityResidualMatchesPublicLayersBitExactly) {
+  ResidualBlock block(8, 8, 1);
+  expect_block_matches_reference(block, *ref_residual(8, 8, 1), 8, 16);
+}
+
+TEST(CompositeOracle, ProjectedResidualMatchesPublicLayersBitExactly) {
+  ResidualBlock block(4, 8, 2);
+  expect_block_matches_reference(block, *ref_residual(4, 8, 2), 4, 16);
+}
+
+TEST(CompositeOracle, InceptionMatchesPublicLayersBitExactly) {
+  InceptionBlock block(8, 4, 4, 6, 2, 3, 3);
+  expect_block_matches_reference(block, *ref_inception(8, 4, 4, 6, 2, 3, 3),
+                                 8, 12);
+}
+
 }  // namespace
 }  // namespace ds

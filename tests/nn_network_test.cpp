@@ -421,6 +421,18 @@ TEST(ModelZoo, GoogleNetBackwardRuns) {
   EXPECT_GT(max_abs(net->arena().layer_grads(0)), 0.0f);
 }
 
+// Composite blocks sum their stages' flops and parameters; the benches'
+// virtual time is built on these figures.
+TEST(ModelZoo, CompositeModelsKeepTheirFlopsAndParamCounts) {
+  Rng rng(1);
+  const auto googlenet = make_googlenet_s(rng);
+  EXPECT_EQ(googlenet->flops_per_sample(), 10368192.0);
+  EXPECT_EQ(googlenet->param_count(), 13862u);
+  const auto resnet = make_resnet_s(rng);
+  EXPECT_EQ(resnet->flops_per_sample(), 103542528.0);
+  EXPECT_EQ(resnet->param_count(), 96202u);
+}
+
 TEST(ModelZoo, PaperMetadataMatchesPaperNumbers) {
   EXPECT_NEAR(paper_alexnet().weight_bytes, 249.0 * 1024 * 1024, 1.0);
   EXPECT_NEAR(paper_vgg19().weight_bytes, 575.0 * 1024 * 1024, 1.0);
@@ -503,6 +515,11 @@ TEST(NetworkFootprint, TrainingStepHoldsTwoInputGradientsAndOneScratch) {
       // conv workspaces.
       EXPECT_LT(f.total(), 19954048u);
     }
+    if (std::string(m.name) == "resnet_s") {
+      // 33,031,424 bytes when residual blocks also kept their
+      // pre-activation and a copy of x for identity shortcuts.
+      EXPECT_LE(f.total(), 29099264u);
+    }
   }
 }
 
@@ -515,6 +532,17 @@ TEST(NetworkFootprint, InferenceKeepsNoBackwardState) {
     EXPECT_EQ(f.backward_state, 0u);
     EXPECT_EQ(f.input_grads, 0u);
     EXPECT_GT(f.activations, 0u);
+    // The network's two ping-pong tensors hold every activation; no layer,
+    // composite blocks included, keeps one.
+    Footprint own;
+    for (std::size_t i = 0; i < net->layer_count(); ++i) {
+      net->layer(i).footprint(own);
+    }
+    EXPECT_EQ(own.activations, 0u);
+    if (std::string(m.name) == "resnet_s") {
+      // 14,810,752 bytes when residual blocks kept every stage output.
+      EXPECT_LE(f.total(), 7405376u);
+    }
   }
 }
 
