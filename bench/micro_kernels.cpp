@@ -60,8 +60,8 @@ void BM_GemmNNThreaded(benchmark::State& state) {
   ds::kernel_config().gemm_threads = 1;
   set_gflops(state, ds::gemm_flops(n, n, n));
 }
-// Real time, not CPU time: the calling thread sleeps in wait_idle while the
-// pool computes, so the CPU-time rate would be wildly inflated.
+// Real time, not CPU time: the benchmark's CPU time counts only the calling
+// thread, one of the pool's lanes, so a CPU-time rate would be inflated.
 BENCHMARK(BM_GemmNNThreaded)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_GemmConvShape(benchmark::State& state) {

@@ -259,7 +259,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   }
   ThreadPool pool(worker_threads(nets.size()));
   std::vector<Tensor> inputs(pool.size());
-  res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()),
+  res.trace = probe_on_lanes(pool, std::span(nets).first(pool.size()),
                              inputs, ctx, snapshots);
   finish_run(res, vtime_monotone, master.completed.load());
   res.workers = cfg.workers;

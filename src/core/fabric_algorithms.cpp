@@ -193,7 +193,7 @@ class FabricRun {
     res.final_params = std::move(center);
     ThreadPool pool(worker_threads(ranks));
     std::vector<Tensor> inputs(pool.size());
-    res.trace = probe_on_lanes(&pool, std::span(nets).first(pool.size()),
+    res.trace = probe_on_lanes(pool, std::span(nets).first(pool.size()),
                                inputs, ctx, probes_);
     finish_run(res, fabric.max_clock(),
                res.aborted ? completed_ : cfg.iterations);

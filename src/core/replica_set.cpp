@@ -11,7 +11,7 @@
 namespace ds {
 
 std::vector<TracePoint> probe_on_lanes(
-    ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
+    ThreadPool& pool, std::span<const std::unique_ptr<Network>> lanes,
     std::span<Tensor> inputs, const AlgoContext& ctx,
     std::span<const Snapshot> snapshots) {
   const std::size_t rows = std::min(ctx.config.eval_samples, ctx.test->size());
@@ -46,7 +46,7 @@ std::vector<TracePoint> probe_on_lanes(
 
 ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
                        std::uint64_t first_seed)
-    : ctx_(ctx) {
+    : ctx_(ctx), pool_(worker_threads(count)) {
   DS_CHECK(count > 0, "need at least one worker");
   nets_.reserve(count);
   inputs_.reserve(count);
@@ -57,13 +57,6 @@ ReplicaSet::ReplicaSet(const AlgoContext& ctx, std::size_t count,
     inputs_.emplace_back(
         BatchSampler(*ctx.train, ctx.config.batch_size, first_seed + i));
   }
-  threads_ = worker_threads(count);
-}
-
-ThreadPool* ReplicaSet::pool() {
-  if (threads_ == 1) return nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(threads_);
-  return pool_.get();
 }
 
 void ReplicaSet::compute_gradient(std::size_t j) {
@@ -74,20 +67,19 @@ void ReplicaSet::compute_gradient(std::size_t j) {
 }
 
 void ReplicaSet::compute_gradients() {
-  worker_parallel_for(pool(), size(),
+  worker_parallel_for(pool_, size(),
                       [this](std::size_t j) { compute_gradient(j); });
 }
 
 TracePoint ReplicaSet::probe(Snapshot snapshot) {
-  ThreadPool* const workers = pool();
-  worker_parallel_for(workers, size(), [this](std::size_t j) {
+  worker_parallel_for(pool_, size(), [this](std::size_t j) {
     inputs_[j].stash.resize(nets_[j]->param_count());
     nets_[j]->arena().save_params(inputs_[j].stash);
   });
   if (snapshot.weights.empty()) snapshot.weights = inputs_[0].stash;
   const TracePoint point =
-      probe_on_lanes(workers, nets_, batches_, ctx_, {&snapshot, 1})[0];
-  worker_parallel_for(workers, size(), [this](std::size_t j) {
+      probe_on_lanes(pool_, nets_, batches_, ctx_, {&snapshot, 1})[0];
+  worker_parallel_for(pool_, size(), [this](std::size_t j) {
     nets_[j]->arena().load_params(inputs_[j].stash);
   });
   return point;

@@ -35,7 +35,7 @@ struct Snapshot {
 /// smaller batches bit for bit, so a point equals a serial probe's of the
 /// same rows (core/evaluator.hpp). Overwrites the lanes' weights and inputs.
 std::vector<TracePoint> probe_on_lanes(
-    ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
+    ThreadPool& pool, std::span<const std::unique_ptr<Network>> lanes,
     std::span<Tensor> inputs, const AlgoContext& ctx,
     std::span<const Snapshot> snapshots);
 
@@ -51,11 +51,11 @@ class ReplicaSet {
   const std::vector<std::unique_ptr<Network>>& nets() const { return nets_; }
 
   /// Step (1) of a synchronous round: every replica samples its batch,
-  /// zeroes its gradients and runs forward+backward, concurrently on a pool
-  /// of min(replicas, hardware threads) threads, from the first round on
-  /// (DESIGN.md §7). Replicas share no state, so every replica ends bitwise
-  /// where the serial loop leaves it. A task's exception is rethrown here
-  /// once every replica has finished.
+  /// zeroes its gradients and runs forward+backward, concurrently on
+  /// min(replicas, hardware_lanes()) lanes, the calling thread among them,
+  /// from the first round on (DESIGN.md §7). Replicas share no state, so
+  /// every replica ends bitwise where the serial loop leaves it. A task's
+  /// exception is rethrown here once every replica has finished.
   void compute_gradients();
 
   /// The same step for replica j alone, on the calling thread.
@@ -63,7 +63,7 @@ class ReplicaSet {
 
   /// The trace point of `snapshot`, or of replica 0's own weights when its
   /// weights are empty, probed on the replicas by probe_on_lanes on the
-  /// compute_gradients pool, each replica's training batch its lane input.
+  /// compute_gradients lanes, each replica's training batch its lane input.
   /// Each replica stashes its own weights first and gets them back bit for
   /// bit; the next step samples a fresh batch anyway.
   TracePoint probe(Snapshot snapshot);
@@ -77,15 +77,13 @@ class ReplicaSet {
     std::vector<float> stash;  // own weights while probing others
   };
 
-  /// The pool; null (serial on the caller) with one thread.
-  ThreadPool* pool();
-
   const AlgoContext& ctx_;
   std::vector<std::unique_ptr<Network>> nets_;
   std::vector<Input> inputs_;
   std::vector<Tensor> batches_;  // replica j's training batch
-  std::size_t threads_;
-  std::unique_ptr<ThreadPool> pool_;  // built on the first concurrent call
+  // min(replicas, hardware_lanes()) lanes: the caller and lanes − 1 pool
+  // threads, so one lane starts none and runs the replicas in order.
+  ThreadPool pool_;
 };
 
 }  // namespace ds

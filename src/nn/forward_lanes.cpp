@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+#include <utility>
 
 #include "data/sampler.hpp"
 #include "obs/trace.hpp"
@@ -12,28 +12,30 @@
 namespace ds {
 
 std::size_t worker_threads(std::size_t n) {
-  return std::max<std::size_t>(
-      1, std::min<std::size_t>(n, std::thread::hardware_concurrency()));
+  return std::max<std::size_t>(1, std::min(n, hardware_lanes()));
 }
 
-void worker_parallel_for(ThreadPool* pool, std::size_t n,
+void worker_parallel_for(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t)>& task) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-    return;
-  }
   KernelConfig worker_config = kernel_config();
-  worker_config.gemm_threads = 1;
+  if (pool.size() > 1) worker_config.gemm_threads = 1;
   const std::int64_t rank = obs::thread_rank();
-  pool->parallel_for(n, [&](std::size_t i) {
-    kernel_config() = worker_config;
+  pool.parallel_for(n, [&](std::size_t i) {
+    // The caller is a lane too: put its config back after each task.
+    const KernelConfig saved = std::exchange(kernel_config(), worker_config);
     const obs::RankScope obs_rank(rank);
-    task(i);
+    try {
+      task(i);
+    } catch (...) {
+      kernel_config() = saved;
+      throw;
+    }
+    kernel_config() = saved;
   });
 }
 
 void run_forwards(
-    ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
+    ThreadPool& pool, std::span<const std::unique_ptr<Network>> lanes,
     std::span<Tensor> inputs, const Dataset& data,
     std::span<const ForwardJob> jobs,
     const std::function<void(std::size_t job, const Tensor& logits)>& sink) {

@@ -12,15 +12,17 @@
 
 namespace ds {
 
-/// min(n, hardware threads), at least 1.
+/// min(n, hardware_lanes()), at least 1.
 std::size_t worker_threads(std::size_t n);
 
-/// task(0) … task(n-1): serially on the calling thread when `pool` is
-/// null, else on the pool, each task with the caller's kernel_config() but
-/// gemm_threads = 1 (one task per core already fills the machine) and
-/// tracing on the caller's rank. A task's exception is rethrown here once
-/// every task has finished.
-void worker_parallel_for(ThreadPool* pool, std::size_t n,
+/// task(0) … task(n-1) on the pool's lanes, the caller among them, each
+/// task with the caller's kernel_config() and tracing on the caller's rank.
+/// On more than one lane a task also gets gemm_threads = 1 (one task per
+/// core already fills the machine); a one-lane pool runs the tasks in
+/// order on the caller with its own config. The caller's kernel_config()
+/// and rank are back as they were after every task, and a task's
+/// exception is rethrown here once every task has finished.
+void worker_parallel_for(ThreadPool& pool, std::size_t n,
                          const std::function<void(std::size_t)>& task);
 
 /// Dataset `rows` inferred with packed `weights` (ParamArena::save_params).
@@ -38,7 +40,7 @@ struct ForwardJob {
 /// batches bit for bit, so no logit depends on the lane. Overwrites the
 /// lanes' weights and inputs.
 void run_forwards(
-    ThreadPool* pool, std::span<const std::unique_ptr<Network>> lanes,
+    ThreadPool& pool, std::span<const std::unique_ptr<Network>> lanes,
     std::span<Tensor> inputs, const Dataset& data,
     std::span<const ForwardJob> jobs,
     const std::function<void(std::size_t job, const Tensor& logits)>& sink);

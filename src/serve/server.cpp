@@ -139,10 +139,11 @@ struct Server::Impl {
     return weights;
   }
 
-  // Run this run's recorded batches on min(hardware threads, batches)
-  // lanes and store each answer's argmax class in its request's
-  // `predicted`. The jobs go in (replica, dispatch) order, so a lane
-  // reloads weights only when it crosses to another replica's batches.
+  // Run this run's recorded batches on min(hardware_lanes(), batches)
+  // lanes, the caller among them, and store each answer's argmax class in
+  // its request's `predicted`. The jobs go in (replica, dispatch) order, so
+  // a lane reloads weights only when it crosses to another replica's
+  // batches.
   void answer(const Dataset& pool, std::vector<RequestRecord>& requests) {
     // Every batch's pool rows, back to back. A request is in at most one
     // batch, so the reserve keeps the jobs' spans valid.
@@ -164,7 +165,7 @@ struct Server::Impl {
     if (!forward_pool || forward_pool->size() < lane_count) {
       forward_pool = std::make_unique<ThreadPool>(lane_count);
     }
-    run_forwards(forward_pool.get(), lanes, lane_inputs, pool, jobs,
+    run_forwards(*forward_pool, lanes, lane_inputs, pool, jobs,
                  [&](std::size_t i, const Tensor& logits) {
                    const std::vector<std::uint64_t>& ids = *batches[i];
                    const std::size_t classes = logits.numel() / ids.size();

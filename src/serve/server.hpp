@@ -14,13 +14,13 @@
 // choice flows through the seeded workload trace, and the model math — the
 // real forward passes — never feeds back into timing. The loop only records
 // which requests each replica's batches hold. After it drains, the batches
-// run on L = min(hardware threads, batches) forward lanes: networks the
-// server owns, which take batches from one shared cursor in (replica,
-// dispatch) order and load a replica's weights before running its batches
-// (nn/forward_lanes.hpp). Same seed ⇒ identical request outcome
-// sequence, batch assignments, predictions, and per-replica trace event
-// sequences (asserted by tests/serve_test.cpp), whichever lane runs which
-// batch, exactly like the training runners.
+// run on L = min(hardware_lanes(), batches) forward lanes, the calling
+// thread among them: networks the server owns, which take batches from one
+// shared cursor in (replica, dispatch) order and load a replica's weights
+// before running its batches (nn/forward_lanes.hpp). Same seed ⇒ identical
+// request outcome sequence, batch assignments, predictions, and per-replica
+// trace event sequences (asserted by tests/serve_test.cpp), whichever lane
+// runs which batch, exactly like the training runners.
 //
 // Observability: every request lifecycle emits "serve"-category events on
 // the virtual timeline —

@@ -1,5 +1,8 @@
 #include "support/thread_pool.hpp"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <exception>
 
 #include "obs/metrics.hpp"
@@ -41,17 +44,33 @@ struct FailureSlot {
   }
 };
 
+/// One task on whichever lane took it, with its queue wait and span.
+/// noexcept: a submitted task that throws terminates on every lane alike.
+void run_task(const std::function<void()>& fn,
+              std::int64_t enqueue_ns) noexcept {
+  // Enqueue→start wait: how long the task sat in the FIFO behind other
+  // work — the pool-side analogue of the fabric's recv_wait.
+  const std::int64_t wait_ns = obs::wall_now_ns() - enqueue_ns;
+  pool_metrics().task_wait.add(static_cast<double>(wait_ns) * 1e-9);
+  if (obs::tracing_enabled()) {
+    obs::complete_wall("pool", "task_wait", enqueue_ns, wait_ns);
+  }
+  DS_TRACE_SPAN("pool", "task");
+  fn();
+}
+
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  DS_CHECK(threads > 0, "thread pool needs at least one thread");
-  threads_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
+ThreadPool::ThreadPool(std::size_t lanes) {
+  DS_CHECK(lanes > 0, "thread pool needs at least one lane");
+  threads_.reserve(lanes - 1);
+  for (std::size_t i = 1; i < lanes; ++i) {
+    threads_.emplace_back([this] { run_queue(/*pool_thread=*/true); });
   }
 }
 
 ThreadPool::~ThreadPool() {
+  wait_idle();
   {
     const MutexLock lock(mutex_);
     stop_ = true;
@@ -71,10 +90,7 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  UniqueLock lock(mutex_);
-  while (!(queue_.empty() && active_ == 0)) cv_idle_.wait(lock);
-}
+void ThreadPool::wait_idle() { run_queue(/*pool_thread=*/false); }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
@@ -92,36 +108,33 @@ void ThreadPool::parallel_for(std::size_t n,
   failure.rethrow();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::run_queue(bool pool_thread) {
+  UniqueLock lock(mutex_);
   for (;;) {
-    QueuedTask task;
-    {
-      UniqueLock lock(mutex_);
-      while (!stop_ && queue_.empty()) cv_task_.wait(lock);
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      pool_metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-      ++active_;
+    if (queue_.empty()) {
+      if (pool_thread ? stop_ : active_ == 0) return;
+      (pool_thread ? cv_task_ : cv_idle_).wait(lock);
+      continue;
     }
-    // Enqueue→start wait: how long the task sat in the FIFO behind other
-    // work — the pool-side analogue of the fabric's recv_wait.
-    const std::int64_t start_ns = obs::wall_now_ns();
-    const std::int64_t wait_ns = start_ns - task.enqueue_ns;
-    pool_metrics().task_wait.add(static_cast<double>(wait_ns) * 1e-9);
-    if (obs::tracing_enabled()) {
-      obs::complete_wall("pool", "task_wait", task.enqueue_ns, wait_ns);
-    }
-    {
-      DS_TRACE_SPAN("pool", "task");
-      task.fn();
-    }
-    {
-      const MutexLock lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
+    const QueuedTask task = std::move(queue_.front());
+    queue_.pop_front();
+    pool_metrics().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+    ++active_;
+    lock.unlock();
+    run_task(task.fn, task.enqueue_ns);
+    lock.lock();
+    --active_;
+    if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
   }
+}
+
+std::size_t hardware_lanes() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::size_t>(std::max(1, CPU_COUNT(&mask)));
 }
 
 void parallel_for_threads(std::size_t n,

@@ -323,6 +323,8 @@ void gemm_impl(Transpose trans_a, Transpose trans_b, std::size_t m,
             const std::size_t jr_end =
                 std::min(jr_begin + jr_chunk, jr_panels);
             if (jr_begin >= jr_end) return;
+            // A task on the calling thread gets `ws` back: it packs into
+            // ws.a, which is free, while ws.b holds the shared B panel.
             block(ic, jr_begin, jr_end, pack_workspace());
           });
         }

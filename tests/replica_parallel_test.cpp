@@ -10,6 +10,7 @@
 // batch nor a 64-row chunk, more workers than hardware threads, a probe
 // before any gradient step, per-layer arenas — still match (a).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <cstring>
 #include <functional>
@@ -24,11 +25,14 @@
 #include "core/sync_algorithms.hpp"
 #include "data/dataset.hpp"
 #include "data/sampler.hpp"
+#include "nn/forward_lanes.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace ds {
 namespace {
@@ -343,6 +347,77 @@ TEST(ReplicaParallel, WorkersHonourTheCallersPinnedConvAlgo) {
   EXPECT_GE(pinned.im2col, 2 * kWorkers * kRounds);
 }
 
+// The caller is a lane: worker tasks that run on it get the worker rules,
+// and the caller gets its own config and rank back, also when a task throws.
+TEST(WorkerLanes, CallerKeepsItsKernelConfigAndRank) {
+  constexpr std::size_t kLanes = 4;
+  ThreadPool pool(kLanes);
+  const std::thread::id caller = std::this_thread::get_id();
+  kernel_config().gemm_threads = 3;
+  kernel_config().conv_algo = ConvAlgo::kIm2col;
+  const obs::RankScope rank(7);
+  const auto expect_caller_unchanged = [] {
+    EXPECT_EQ(kernel_config().gemm_threads, 3u);
+    EXPECT_EQ(kernel_config().conv_algo, ConvAlgo::kIm2col);
+    EXPECT_EQ(obs::thread_rank(), 7);
+  };
+  for (const bool throw_on_caller : {false, true}) {
+    SCOPED_TRACE(throw_on_caller);
+    // Each task waits for all the others, so the caller runs one of them.
+    testing::Rendezvous meet(kLanes);
+    std::atomic<std::size_t> on_caller{0};
+    std::atomic<std::size_t> worker_rules{0};
+    const auto run = [&] {
+      worker_parallel_for(pool, kLanes, [&](std::size_t) {
+        if (meet.arrive() && kernel_config().gemm_threads == 1 &&
+            kernel_config().conv_algo == ConvAlgo::kIm2col &&
+            obs::thread_rank() == 7) {
+          worker_rules.fetch_add(1);
+        }
+        if (std::this_thread::get_id() != caller) return;
+        on_caller.fetch_add(1);
+        DS_CHECK(!throw_on_caller, "task on the caller failed");
+      });
+    };
+    if (throw_on_caller) {
+      EXPECT_THROW(run(), Error);
+    } else {
+      run();
+    }
+    EXPECT_EQ(on_caller.load(), 1u);
+    EXPECT_EQ(worker_rules.load(), kLanes);
+    expect_caller_unchanged();
+  }
+  // One lane: the tasks run on the caller with its own config.
+  ThreadPool one(1);
+  std::size_t own_config = 0;
+  worker_parallel_for(one, 3, [&](std::size_t) {
+    own_config += kernel_config().gemm_threads == 3 ? 1 : 0;
+  });
+  EXPECT_EQ(own_config, 3u);
+  expect_caller_unchanged();
+  kernel_config() = KernelConfig{};
+}
+
+// A run pinned to one CPU gets one lane, whatever the machine has.
+TEST(WorkerLanes, LaneCountFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(hardware_lanes(),
+            static_cast<std::size_t>(CPU_COUNT(&saved)));
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t pinned_lanes = hardware_lanes();
+  const std::size_t pinned_workers = worker_threads(4);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned_lanes, 1u);
+  EXPECT_EQ(pinned_workers, 1u);
+}
+
 // (c) ------------------------------------------------------------------------
 
 TEST(ReplicaParallel, RepeatedRunsAreBitIdentical) {
@@ -384,7 +459,7 @@ TEST(ReplicaProbe, RowsFillingNeitherABatchNorAChunkMatchSerial) {
 
 TEST(ReplicaProbe, MoreWorkersThanHardwareThreadsMatchSerial) {
   Fixture f;
-  const std::size_t workers = std::thread::hardware_concurrency() + 2;
+  const std::size_t workers = hardware_lanes() + 2;
   f.ctx.config.workers = workers;
   f.ctx.config.iterations = 2;
   GpuSystemConfig c;

@@ -15,7 +15,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +27,7 @@
 #include "obs/json.hpp"
 #include "serve/server.hpp"
 #include "serve/workload.hpp"
+#include "support/thread_pool.hpp"
 
 namespace ds::serve {
 namespace {
@@ -371,10 +371,6 @@ std::vector<std::unique_ptr<Network>> replica_oracles(
   return oracles;
 }
 
-std::size_t hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 // Every served answer equals the batch-1 argmax of its own replica's
 // weights (oracles[replica]); shed requests predict -1.
 void expect_answers_match_oracles(
@@ -395,7 +391,7 @@ void expect_answers_match_oracles(
 
 TEST(ServeLanes, OneReplicaRunsOnEveryHardwareThread) {
   const TrainTest data = mnist_like(/*seed=*/9, /*train=*/64, /*test=*/16);
-  const std::size_t threads = hardware_threads();
+  const std::size_t threads = hardware_lanes();
   // Batch-1 dispatch: one batch per request, at least one per thread.
   const std::vector<double> arrivals = generate_arrivals(
       poisson(2000.0, 0.05 + 1e-3 * static_cast<double>(threads), 13));
@@ -456,7 +452,7 @@ TEST(ServeLanes, FewerBatchesThanThreadsBuildOneLanePerBatch) {
   const ServeResult r = server.run(arrivals, data.train);
   ASSERT_EQ(r.batches, 2u);
   EXPECT_EQ(*counting.calls,
-            cfg.replicas + std::min<std::size_t>(hardware_threads(), 2));
+            cfg.replicas + std::min<std::size_t>(hardware_lanes(), 2));
 
   expect_answers_match_oracles(r, data.train,
                                replica_oracles(counting, cfg.replicas));

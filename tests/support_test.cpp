@@ -1,5 +1,10 @@
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,9 +14,12 @@
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
+#include "test_util.hpp"
 
 namespace ds {
 namespace {
+
+using testing::Rendezvous;
 
 // ------------------------------- Rng ---------------------------------------
 
@@ -237,6 +245,84 @@ TEST(ThreadPool, ParallelForRethrowsTaskErrorAndStaysUsable) {
 TEST(ThreadPool, ParallelForThreadsCoversIndices) {
   std::vector<std::atomic<int>> hits(8);
   parallel_for_threads(8, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Lanes: the caller plus n − 1 pool threads.
+
+/// Threads of this process, from /proc/self/task.
+std::size_t process_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), std::filesystem::directory_iterator{}));
+}
+
+TEST(ThreadPoolLanes, OneLaneRunsEverythingOnTheCaller) {
+  const std::size_t before = process_threads();
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(process_threads(), before) << "a one-lane pool started a thread";
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(5);
+  pool.parallel_for(3, [&](std::size_t i) {
+    ran[i] = std::this_thread::get_id();
+  });
+  pool.submit([&] { ran[3] = std::this_thread::get_id(); });
+  pool.submit([&] { ran[4] = std::this_thread::get_id(); });
+  pool.wait_idle();
+  for (const std::thread::id id : ran) EXPECT_EQ(id, caller);
+}
+
+TEST(ThreadPoolLanes, NLanesStartNMinusOneThreadsAndTheCallerRunsATask) {
+  constexpr std::size_t kLanes = 4;
+  const std::size_t before = process_threads();
+  ThreadPool pool(kLanes);
+  EXPECT_EQ(pool.size(), kLanes);
+  EXPECT_EQ(process_threads(), before + kLanes - 1);
+  // Every task waits for all the others, so the n tasks run at once, one
+  // per lane: the caller has to be one of them.
+  Rendezvous meet(kLanes);
+  std::mutex ids_mutex;
+  std::set<std::thread::id> ids;
+  std::atomic<std::size_t> met{0};
+  pool.parallel_for(kLanes, [&](std::size_t) {
+    {
+      const std::lock_guard<std::mutex> lock(ids_mutex);
+      ids.insert(std::this_thread::get_id());
+    }
+    if (meet.arrive()) met.fetch_add(1);
+  });
+  EXPECT_EQ(met.load(), kLanes) << "the lanes did not all run at once";
+  EXPECT_EQ(ids.size(), kLanes);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u)
+      << "the caller ran no task";
+}
+
+TEST(ThreadPoolLanes, ThrowOnTheCallerRethrowsAfterEveryTaskAndStaysUsable) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  Rendezvous meet(2);
+  std::atomic<bool> other_done{false};
+  std::atomic<bool> threw{false};
+  EXPECT_THROW(
+      pool.parallel_for(2,
+                        [&](std::size_t) {
+                          ASSERT_TRUE(meet.arrive());
+                          if (std::this_thread::get_id() == caller) {
+                            threw = true;
+                            DS_CHECK(false, "task on the caller failed");
+                          }
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(20));
+                          other_done = true;
+                        }),
+      Error);
+  EXPECT_TRUE(threw.load());
+  EXPECT_TRUE(other_done.load())
+      << "rethrown before the pool thread's task finished";
+
+  std::vector<std::atomic<int>> hits(6);
+  pool.parallel_for(6, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

@@ -1,9 +1,13 @@
-// Shared test helpers: numerical gradient checking and tiny fixtures.
+// Shared test helpers: numerical gradient checking, tiny fixtures and a
+// bounded rendezvous for thread tests.
 #pragma once
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <vector>
 
 #include "nn/layer.hpp"
@@ -11,6 +15,27 @@
 #include "tensor/tensor.hpp"
 
 namespace ds::testing {
+
+/// `parties` threads meet; arrive() is false if they do not all arrive
+/// within 10 s, so a thread that never comes fails the test instead of
+/// hanging it.
+class Rendezvous {
+ public:
+  explicit Rendezvous(std::size_t parties) : parties_(parties) {}
+
+  bool arrive() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (++arrived_ == parties_) all_.notify_all();
+    return all_.wait_for(lock, std::chrono::seconds(10),
+                         [this] { return arrived_ >= parties_; });
+  }
+
+ private:
+  const std::size_t parties_;
+  std::mutex mutex_;
+  std::condition_variable all_;
+  std::size_t arrived_ = 0;
+};
 
 /// Fill a tensor with small deterministic pseudo-random values.
 inline void fill_random(Tensor& t, Rng& rng, double scale = 0.5) {
